@@ -358,26 +358,29 @@ func IsTrue(e Expr) bool {
 	return false
 }
 
+// Conjuncts flattens predicate e, viewed as a conjunction, into its
+// non-trivial terms (nested Ands opened, always-true terms dropped).
+func Conjuncts(e Expr) []Expr {
+	if IsTrue(e) {
+		return nil
+	}
+	if a, ok := e.(And); ok {
+		var out []Expr
+		for _, t := range a.Terms {
+			out = append(out, Conjuncts(t)...)
+		}
+		return out
+	}
+	return []Expr{e}
+}
+
 // Conj builds the conjunction of the given predicates, flattening nested
 // Ands and dropping always-true terms; it returns True() when nothing
 // remains.
 func Conj(terms ...Expr) Expr {
 	var out []Expr
-	var add func(e Expr)
-	add = func(e Expr) {
-		if IsTrue(e) {
-			return
-		}
-		if a, ok := e.(And); ok {
-			for _, t := range a.Terms {
-				add(t)
-			}
-			return
-		}
-		out = append(out, e)
-	}
 	for _, t := range terms {
-		add(t)
+		out = append(out, Conjuncts(t)...)
 	}
 	if len(out) == 0 {
 		return True()

@@ -12,44 +12,39 @@ type equiPair struct {
 	lpos, rpos int
 }
 
+// AttrEquality reports whether e has the simple form attr = attr — the
+// only conjuncts a hash join or an index probe can execute — and names
+// the two attributes.
+func AttrEquality(e Expr) (l, r string, ok bool) {
+	c, isCmp := e.(Cmp)
+	if !isCmp || c.Op != OpEq {
+		return "", "", false
+	}
+	la, lok := c.L.(Attr)
+	ra, rok := c.R.(Attr)
+	return la.Name, ra.Name, lok && rok
+}
+
 // splitJoinCondition decomposes cond (a conjunction) into hash-joinable
 // equality pairs between the two schemas plus a residual predicate to be
 // evaluated over the concatenated tuple. Conjuncts that are not of the
 // simple attr = attr cross-schema form land in the residual.
 func splitJoinCondition(cond Expr, ls, rs *relation.Schema) (pairs []equiPair, residual Expr) {
 	var resid []Expr
-	var visit func(e Expr)
-	visit = func(e Expr) {
-		if IsTrue(e) {
-			return
-		}
-		if a, ok := e.(And); ok {
-			for _, t := range a.Terms {
-				visit(t)
+	for _, e := range Conjuncts(cond) {
+		if la, ra, ok := AttrEquality(e); ok {
+			if _, inL := ls.AttrIndex(la); !inL {
+				la, ra = ra, la
 			}
-			return
-		}
-		if c, ok := e.(Cmp); ok && c.Op == OpEq {
-			la, lok := c.L.(Attr)
-			ra, rok := c.R.(Attr)
-			if lok && rok {
-				if lp, ok1 := ls.AttrIndex(la.Name); ok1 {
-					if rp, ok2 := rs.AttrIndex(ra.Name); ok2 {
-						pairs = append(pairs, equiPair{lp, rp})
-						return
-					}
-				}
-				if lp, ok1 := ls.AttrIndex(ra.Name); ok1 {
-					if rp, ok2 := rs.AttrIndex(la.Name); ok2 {
-						pairs = append(pairs, equiPair{lp, rp})
-						return
-					}
-				}
+			lp, ok1 := ls.AttrIndex(la)
+			rp, ok2 := rs.AttrIndex(ra)
+			if ok1 && ok2 {
+				pairs = append(pairs, equiPair{lp, rp})
+				continue
 			}
 		}
 		resid = append(resid, e)
 	}
-	visit(cond)
 	return pairs, Conj(resid...)
 }
 
@@ -97,98 +92,46 @@ func EvalJoin(l, r *relation.Relation, cond Expr, outName string) (*relation.Rel
 		return out, nil
 	}
 
-	// Hash join: build on the smaller side — unless one side already has a
-	// persistent index over exactly the join attributes (§5.3's suggestion
-	// that indexed joins avoid the expensive path), in which case probe it
-	// directly and skip the build phase.
-	build, probe := r, l
-	buildPos := make([]int, len(pairs))
-	probePos := make([]int, len(pairs))
+	// Hash join through a join index on the pair attributes: a side that
+	// already carries a resident index there is the build side for free
+	// (§5.3's "whether indices can be used"); otherwise the smaller side
+	// gets a transient index. Either way the other side probes it.
+	lpos, rpos := make([]int, len(pairs)), make([]int, len(pairs))
 	for i, p := range pairs {
-		buildPos[i], probePos[i] = p.rpos, p.lpos
+		lpos[i], rpos[i] = p.lpos, p.rpos
 	}
-	swapped := false
-	swap := func() {
-		build, probe = l, r
-		for i, p := range pairs {
-			buildPos[i], probePos[i] = p.lpos, p.rpos
-		}
-		swapped = true
+	ix, buildIsLeft := r.IndexOn(rpos), false
+	if ix == nil {
+		ix = l.IndexOn(lpos)
+		buildIsLeft = ix != nil || l.Len() < r.Len()
 	}
-	attrNamesAt := func(rel *relation.Relation, positions []int) []string {
-		names := make([]string, len(positions))
-		all := rel.Schema().AttrNames()
-		for i, p := range positions {
-			names[i] = all[p]
-		}
-		return names
+	probe, probePos := l, lpos
+	if buildIsLeft {
+		probe, probePos = r, rpos
 	}
-	rIndexed := r.HasIndex(attrNamesAt(r, buildPos)...)
-	lNames := make([]string, len(pairs))
-	for i, p := range pairs {
-		lNames[i] = l.Schema().AttrNames()[p.lpos]
-	}
-	lIndexed := l.HasIndex(lNames...)
 	switch {
-	case rIndexed:
-		// keep r as build side, probe its index
-	case lIndexed:
-		swap()
-	case l.Len() < r.Len():
-		swap()
+	case ix != nil:
+	case buildIsLeft:
+		ix = relation.NewJoinIndex(l, lpos)
+	default:
+		ix = relation.NewJoinIndex(r, rpos)
 	}
-	useIndex := (swapped && lIndexed) || (!swapped && rIndexed)
-
+	key := make([]relation.Value, len(pairs))
+	var bt relation.Tuple
 	var evalErr error
-	if useIndex {
-		buildNames := attrNamesAt(build, buildPos)
-		probe.Each(func(pt relation.Tuple, pn int) bool {
-			vals := make([]relation.Value, len(probePos))
-			for i, p := range probePos {
-				vals[i] = pt[p]
-			}
-			rows, err := build.Probe(buildNames, vals)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			for _, brw := range rows {
-				var err error
-				if swapped {
-					err = emit(brw.Tuple, brw.Count, pt, pn)
-				} else {
-					err = emit(pt, pn, brw.Tuple, brw.Count)
-				}
-				if err != nil {
-					evalErr = err
-					return false
-				}
-			}
-			return true
-		})
-		if evalErr != nil {
-			return nil, evalErr
-		}
-		return out, nil
-	}
-
-	table := make(map[string][]relation.Row, build.Len())
-	build.Each(func(t relation.Tuple, n int) bool {
-		k := t.KeyOn(buildPos)
-		table[k] = append(table[k], relation.Row{Tuple: t, Count: n})
-		return true
-	})
 	probe.Each(func(pt relation.Tuple, pn int) bool {
-		for _, brw := range table[pt.KeyOn(probePos)] {
-			var err error
-			if swapped {
-				// build side is l, probe side is r
-				err = emit(brw.Tuple, brw.Count, pt, pn)
+		for i, p := range probePos {
+			key[i] = pt[p]
+		}
+		for s := ix.First(key); s >= 0; s = ix.Next(s, key) {
+			bt = ix.Map().AppendTupleAt(bt[:0], s)
+			bn := int(ix.Map().CountAt(s))
+			if buildIsLeft {
+				evalErr = emit(bt, bn, pt, pn)
 			} else {
-				err = emit(pt, pn, brw.Tuple, brw.Count)
+				evalErr = emit(pt, pn, bt, bn)
 			}
-			if err != nil {
-				evalErr = err
+			if evalErr != nil {
 				return false
 			}
 		}
@@ -260,23 +203,12 @@ func JoinChain(rels []*relation.Relation, cond Expr, outName string) (*relation.
 // canEval reports true (returned first) and the remainder.
 func splitEvaluable(cond Expr, canEval func(attrs map[string]bool) bool) (now, later Expr) {
 	var nowTerms, laterTerms []Expr
-	var visit func(e Expr)
-	visit = func(e Expr) {
-		if IsTrue(e) {
-			return
-		}
-		if a, ok := e.(And); ok {
-			for _, t := range a.Terms {
-				visit(t)
-			}
-			return
-		}
+	for _, e := range Conjuncts(cond) {
 		if canEval(Attrs(e)) {
 			nowTerms = append(nowTerms, e)
 		} else {
 			laterTerms = append(laterTerms, e)
 		}
 	}
-	visit(cond)
 	return Conj(nowTerms...), Conj(laterTerms...)
 }

@@ -341,10 +341,10 @@ func TestIndexAwareJoinEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	plainA, plainB := relation.NewBag(as), relation.NewBag(bs)
 	idxA, idxB := relation.NewBag(as), relation.NewBag(bs)
-	if err := idxB.BuildIndex("b1"); err != nil {
+	if err := idxB.EnsureIndex("b1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := idxA.BuildIndex("a1"); err != nil {
+	if err := idxA.EnsureIndex("a1"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 60; i++ {

@@ -42,31 +42,12 @@ func SubstAttrs(e Expr, mapping map[string]string) Expr {
 // conjuncts whose attributes all lie within avail, and the rest. Used to
 // push selection conditions toward source databases.
 func ConjunctsOver(e Expr, avail map[string]bool) (pushable, residual Expr) {
-	var push, rest []Expr
-	var visit func(t Expr)
-	visit = func(t Expr) {
-		if IsTrue(t) {
-			return
-		}
-		if a, ok := t.(And); ok {
-			for _, term := range a.Terms {
-				visit(term)
-			}
-			return
-		}
-		all := true
-		for attr := range Attrs(t) {
+	return splitEvaluable(e, func(attrs map[string]bool) bool {
+		for attr := range attrs {
 			if !avail[attr] {
-				all = false
-				break
+				return false
 			}
 		}
-		if all {
-			push = append(push, t)
-		} else {
-			rest = append(rest, t)
-		}
-	}
-	visit(e)
-	return Conj(push...), Conj(rest...)
+		return true
+	})
 }

@@ -689,6 +689,81 @@ func storeSchema(n *vdp.Node) (*relation.Schema, error) {
 	return n.Schema.Project(n.Name, mats)
 }
 
+// storePortion installs a node's materialized portion in the builder: the
+// projection of from — the node's state over at least its materialized
+// attributes — onto the node's store schema, under its store semantics
+// (bag for hybrid portions: a projection of a set node can carry
+// duplicates). A node with nothing materialized has its portion dropped.
+func storePortion(b *store.Builder, v *vdp.VDP, n *vdp.Node, from *relation.Relation) error {
+	schema, err := storeSchema(n)
+	if err != nil {
+		return err
+	}
+	if schema == nil {
+		b.Delete(n.Name)
+		return nil
+	}
+	positions, err := from.Schema().Positions(schema.AttrNames())
+	if err != nil {
+		return err
+	}
+	sem := n.Semantics()
+	if n.Hybrid() {
+		sem = relation.Bag
+	}
+	rel := relation.New(schema, sem)
+	from.Each(func(t relation.Tuple, c int) bool {
+		rel.Add(t.Project(positions), c)
+		return true
+	})
+	setStored(b, v, n.Name, rel)
+	return nil
+}
+
+// setStored is the one place a relation enters the store (initialization,
+// resync, re-annotation, snapshot and checkpoint restore): it declares the
+// join indexes the plan's rules probe the node on, then hands the relation
+// to the builder. From there the indexes ride along on their own —
+// Builder.Mutable clones them and every delta apply maintains them.
+func setStored(b *store.Builder, v *vdp.VDP, name string, rel *relation.Relation) {
+	for _, attrs := range v.JoinIndexes(name) {
+		// The only failure is a join attribute the portion does not store
+		// (a hybrid node): no index then — rules over that node read a VAP
+		// temporary, indexed on the spot.
+		_ = rel.EnsureIndex(attrs...)
+	}
+	b.Set(name, rel)
+}
+
+// CheckJoinIndexes verifies the index lifecycle on the current store
+// version: every stored relation carries exactly the join indexes the
+// plan declares over its stored attributes, and each index agrees with a
+// scan of the relation. An invariant check for tests and soaks, meant for
+// quiescence (it reads every row).
+func (m *Mediator) CheckJoinIndexes() error {
+	cur := m.vstore.Current()
+	if cur == nil {
+		return fmt.Errorf("core: mediator not initialized")
+	}
+	v := m.curVDP()
+	for _, name := range cur.Nodes() {
+		rel := cur.Rel(name)
+		var want [][]string
+		for _, attrs := range v.JoinIndexes(name) {
+			if _, err := rel.Schema().Positions(attrs); err == nil && rel.Backend() == relation.Blocks {
+				want = append(want, attrs)
+			}
+		}
+		if got := rel.IndexedAttrs(); fmt.Sprint(got) != fmt.Sprint(want) {
+			return fmt.Errorf("core: node %s carries join indexes %v, plan declares %v", name, got, want)
+		}
+		if err := rel.CheckIndexes(); err != nil {
+			return fmt.Errorf("core: node %s: %w", name, err)
+		}
+	}
+	return nil
+}
+
 // Initialize populates the materialized store by polling every source for
 // its current leaf states and evaluating the VDP bottom-up, then publishes
 // the result as store version 1. Announcements already subscribed are
@@ -736,29 +811,9 @@ func (m *Mediator) Initialize() error {
 	}
 	b := m.vstore.Begin()
 	for _, name := range v.NonLeaves() {
-		n := v.Node(name)
-		schema, err := storeSchema(n)
-		if err != nil {
+		if err := storePortion(b, v, v.Node(name), states[name]); err != nil {
 			return err
 		}
-		if schema == nil {
-			continue // fully virtual: nothing stored
-		}
-		positions, err := n.Schema.Positions(schema.AttrNames())
-		if err != nil {
-			return err
-		}
-		sem := n.Semantics()
-		if n.Hybrid() {
-			// A projection of a set node can carry duplicates.
-			sem = relation.Bag
-		}
-		rel := relation.New(schema, sem)
-		states[name].Each(func(t relation.Tuple, c int) bool {
-			rel.Add(t.Project(positions), c)
-			return true
-		})
-		b.Set(name, rel)
 	}
 	// Drop queued announcements already reflected in the initial poll,
 	// and publish version 1 while holding qmu so pinners always observe a

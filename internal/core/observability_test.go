@@ -156,3 +156,104 @@ func TestStatsAndMetricsConcurrentWithUpdates(t *testing.T) {
 		t.Errorf("no events emitted under load")
 	}
 }
+
+// The update-txn and publish events of a committed version are emitted
+// after the store mutex is released. Their order must be what it was when
+// they were emitted under it: update transactions report in version order
+// (txnMu still serializes them), and each version's update-txn event
+// directly precedes its publish event among the update path's events —
+// also while another publisher (resync) commits in between.
+func TestUpdateEventOrderPerVersion(t *testing.T) {
+	e := newWorkersEnv(t, 2)
+	const txns = 60 // well inside the event ring with stage and resync events around
+	// One resync per update transaction, racing it: at most one publish
+	// overtakes each attempt, so the retry bound is never reached.
+	kick := make(chan struct{}, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range kick {
+			if err := e.med.ResyncSource("db2"); err != nil {
+				t.Errorf("resync: %v", err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < txns; i++ {
+		d := delta.New()
+		d.Insert("R", relation.T(100+i, 10*(i%3+1), i, 100))
+		e.db1.MustApply(d)
+		select {
+		case kick <- struct{}{}:
+		default:
+		}
+		if ran, err := e.med.RunUpdateTransaction(); err != nil || !ran {
+			t.Fatalf("txn %d: ran=%v err=%v", i, ran, err)
+		}
+	}
+	close(kick)
+	wg.Wait()
+
+	events, _ := e.med.Metrics().Events().Recent(0)
+	updates := 0
+	var pending, last int64 // version whose publish event is due; last reported
+	for _, ev := range events {
+		switch ev.Type {
+		case metrics.EventUpdateTxn:
+			v := ev.Fields["version"]
+			if pending != 0 {
+				t.Fatalf("update-txn v%d emitted before the publish event of v%d", v, pending)
+			}
+			if v <= last {
+				t.Fatalf("update-txn events out of version order: v%d after v%d", v, last)
+			}
+			pending, last = v, v
+			updates++
+		case metrics.EventPublish:
+			// Resync publishes carry versions of their own; only the one
+			// following an update-txn event belongs to it.
+			if pending != 0 && ev.Fields["version"] == pending {
+				pending = 0
+			}
+		}
+	}
+	if pending != 0 {
+		t.Fatalf("update-txn v%d has no publish event", pending)
+	}
+	if updates != txns {
+		t.Fatalf("%d update-txn events retained, want %d", updates, txns)
+	}
+	if got := len(e.rec.Updates()); got != txns {
+		t.Fatalf("trace recorded %d update transactions, want %d", got, txns)
+	}
+}
+
+// On a fully materialized plan every sibling read goes through a resident
+// join index: the probe counter moves, the scan counter does not.
+func TestKernelProbeCountersFullyMaterialized(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		e := newWorkersEnv(t, workers)
+		for i := 0; i < 10; i++ {
+			d := delta.New()
+			d.Insert("R", relation.T(100+i, 10*(i%2+1), i, 100))
+			e.db1.MustApply(d)
+			d = delta.New()
+			d.Insert("S", relation.T(30+i, i, 10))
+			e.db2.MustApply(d)
+			if _, err := e.med.RunUpdateTransaction(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := e.med.MetricsSnapshot()
+		if n := snap.Counters[MetricKernelProbeRows]; n == 0 {
+			t.Errorf("workers=%d: no sibling rows read through the join indexes", workers)
+		}
+		if n := snap.Counters[MetricKernelScanRows]; n != 0 {
+			t.Errorf("workers=%d: %d sibling rows scanned on a fully materialized plan", workers, n)
+		}
+		if err := e.med.CheckJoinIndexes(); err != nil {
+			t.Errorf("workers=%d: %v", workers, err)
+		}
+	}
+}

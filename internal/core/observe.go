@@ -22,6 +22,8 @@ const (
 	MetricUpdateTxnsTotal     = "squirrel_update_txns_total"  // committed update transactions
 	MetricUpdateTxnRetries    = "squirrel_update_txn_retries_total"
 	MetricKernelStageSeconds  = "squirrel_kernel_stage_seconds"    // labeled phase=apply|rules|total
+	MetricKernelProbeRows     = "squirrel_kernel_probe_rows_total" // sibling rows rule firings read through a resident join index
+	MetricKernelScanRows      = "squirrel_kernel_scan_rows_total"  // ... through an index built on the spot (a rule off the indexed path)
 	MetricSourcePollSeconds   = "squirrel_source_poll_seconds"     // labeled source=...,outcome=ok|error
 	MetricBreakerFastFails    = "squirrel_breaker_fastfails_total" // labeled source=...
 	MetricCompensationSeconds = "squirrel_compensation_seconds"
@@ -67,6 +69,8 @@ type mediatorObs struct {
 	stageApply *metrics.Histogram
 	stageRules *metrics.Histogram
 	stageTotal *metrics.Histogram
+	probeRows  *metrics.Counter
+	scanRows   *metrics.Counter
 
 	compensation *metrics.Histogram
 
@@ -123,6 +127,8 @@ func newMediatorObs(reg *metrics.Registry, plan *vdp.VDP) *mediatorObs {
 		stageApply:    stageHist("apply"),
 		stageRules:    stageHist("rules"),
 		stageTotal:    stageHist("total"),
+		probeRows:     reg.Counter(MetricKernelProbeRows),
+		scanRows:      reg.Counter(MetricKernelScanRows),
 		compensation:  reg.Histogram(MetricCompensationSeconds, metrics.DefLatencyBuckets),
 		queryFast:     reg.Histogram(metrics.SeriesName(MetricQuerySeconds, "path", "fast"), metrics.DefLatencyBuckets),
 		queryPolling:  reg.Histogram(metrics.SeriesName(MetricQuerySeconds, "path", "polling"), metrics.DefLatencyBuckets),

@@ -268,9 +268,13 @@ func (rp *randPlan) randomLeafCommit(t *testing.T, rng *rand.Rand) {
 }
 
 // checkStores asserts every materialized portion equals projected
-// recomputation over the current leaf states.
+// recomputation over the current leaf states, and carries exactly the
+// join indexes its plan declares, each agreeing with a scan.
 func (rp *randPlan) checkStores(t *testing.T) {
 	t.Helper()
+	if err := rp.med.CheckJoinIndexes(); err != nil {
+		t.Fatalf("%v\nplan:\n%s", err, rp.plan)
+	}
 	leaves := map[string]*relation.Relation{}
 	for _, leaf := range rp.plan.Leaves() {
 		cur, err := rp.dbs[rp.plan.Node(leaf).Source].Current(leaf)

@@ -8,7 +8,6 @@ import (
 	"squirrel/internal/clock"
 	"squirrel/internal/metrics"
 	"squirrel/internal/relation"
-	"squirrel/internal/store"
 	"squirrel/internal/vdp"
 )
 
@@ -225,7 +224,7 @@ func (m *Mediator) reannotateOnce(old *planEpoch, newV *vdp.VDP, newContribs map
 		if !ok {
 			return false, fmt.Errorf("core: re-annotation backfill built no temporary for %q", name)
 		}
-		if err := rebuildPortion(b, newV.Node(name), temp); err != nil {
+		if err := storePortion(b, newV, newV.Node(name), temp); err != nil {
 			return false, err
 		}
 	}
@@ -234,7 +233,7 @@ func (m *Mediator) reannotateOnce(old *planEpoch, newV *vdp.VDP, newContribs map
 		if cur == nil {
 			return false, fmt.Errorf("core: no stored portion for %q to shrink", name)
 		}
-		if err := rebuildPortion(b, newV.Node(name), cur); err != nil {
+		if err := storePortion(b, newV, newV.Node(name), cur); err != nil {
 			return false, err
 		}
 	}
@@ -339,36 +338,6 @@ func (m *Mediator) abortCapture(capture []string) {
 	}
 	m.obs.queueLen.Set(int64(len(m.queue)))
 	m.qmu.Unlock()
-}
-
-// rebuildPortion replaces a node's stored portion with the projection of
-// from — the node's state over at least the new materialized attributes —
-// onto the node's (new) store schema, under its store semantics (bag for
-// hybrid portions: a projection of a set node can carry duplicates).
-func rebuildPortion(b *store.Builder, n *vdp.Node, from *relation.Relation) error {
-	schema, err := storeSchema(n)
-	if err != nil {
-		return err
-	}
-	if schema == nil {
-		b.Delete(n.Name)
-		return nil
-	}
-	positions, err := from.Schema().Positions(schema.AttrNames())
-	if err != nil {
-		return err
-	}
-	sem := n.Semantics()
-	if n.Hybrid() {
-		sem = relation.Bag
-	}
-	rel := relation.New(schema, sem)
-	from.Each(func(t relation.Tuple, c int) bool {
-		rel.Add(t.Project(positions), c)
-		return true
-	})
-	b.Set(n.Name, rel)
-	return nil
 }
 
 // anyNewString reports whether next contains a string absent from prev.

@@ -25,6 +25,9 @@ func queryTruth(t *testing.T, e *testEnv) {
 	if !res.Answer.Equal(want) {
 		t.Fatalf("answer diverged:\n%swant\n%s", res.Answer, want)
 	}
+	if err := e.med.CheckJoinIndexes(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestReannotateVirtualizeAndBack(t *testing.T) {
@@ -84,6 +87,60 @@ func TestReannotateVirtualizeAndBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	queryTruth(t, e)
+}
+
+// A switch that moves a join attribute out of the store takes the node's
+// join index with it: the rule over that sibling then reads a VAP
+// temporary, indexed on the spot (the scan counter moves), and moving the
+// attribute back restores the resident index (the counter stops).
+func TestReannotateJoinAttributeOutOfStoreAndBack(t *testing.T) {
+	e := newEnv(t, nil, nil, nil)
+	scanned := func() int64 { return e.med.MetricsSnapshot().Counters[MetricKernelScanRows] }
+	commitS := func(key int64) {
+		t.Helper()
+		d := delta.New()
+		d.Insert("S", relation.T(10, key, 10)) // joins R rows with r2 = 10
+		e.db2.MustApply(d)
+		if _, err := e.med.RunUpdateTransaction(); err != nil {
+			t.Fatal(err)
+		}
+		queryTruth(t, e)
+	}
+	if got := e.med.StoreSnapshot("R'").IndexedAttrs(); len(got) != 1 || got[0][0] != "r2" {
+		t.Fatalf("R' indexes after Initialize: %v", got)
+	}
+	commitS(101)
+	if n := scanned(); n != 0 {
+		t.Fatalf("fully materialized: %d rows scanned", n)
+	}
+
+	anns := e.med.VDP().Annotations()
+	anns["R'"] = vdp.Ann([]string{"r1", "r3"}, []string{"r2"})
+	if _, err := e.med.Reannotate(anns); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.med.StoreSnapshot("R'").IndexedAttrs(); len(got) != 0 {
+		t.Fatalf("R' lost r2 but kept indexes %v", got)
+	}
+	queryTruth(t, e)
+	commitS(102)
+	if n := scanned(); n == 0 {
+		t.Fatal("ΔS' against a store lacking the join attribute must count scanned rows")
+	}
+
+	anns = e.med.VDP().Annotations()
+	anns["R'"] = vdp.AllMaterialized(e.med.VDP().Node("R'").Schema)
+	if _, err := e.med.Reannotate(anns); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.med.StoreSnapshot("R'").IndexedAttrs(); len(got) != 1 || got[0][0] != "r2" {
+		t.Fatalf("R' indexes after re-materializing r2: %v", got)
+	}
+	before := scanned()
+	commitS(103)
+	if n := scanned(); n != before {
+		t.Fatalf("resident index restored, yet %d more rows scanned", n-before)
+	}
 }
 
 func TestReannotateNoopAndErrors(t *testing.T) {

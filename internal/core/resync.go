@@ -10,7 +10,6 @@ import (
 	"squirrel/internal/metrics"
 	"squirrel/internal/relation"
 	"squirrel/internal/source"
-	"squirrel/internal/store"
 	"squirrel/internal/vdp"
 )
 
@@ -80,34 +79,6 @@ func resyncClosure(v *vdp.VDP, src string) (affected, needEval map[string]bool, 
 	}
 	sort.Strings(leaves)
 	return affected, needEval, leaves
-}
-
-// writeMaterialized stores the materialized projection of a node's full
-// state into the builder (no-op for fully virtual nodes).
-func writeMaterialized(b *store.Builder, n *vdp.Node, full *relation.Relation) error {
-	schema, err := storeSchema(n)
-	if err != nil {
-		return err
-	}
-	if schema == nil {
-		return nil // fully virtual: nothing stored
-	}
-	positions, err := n.Schema.Positions(schema.AttrNames())
-	if err != nil {
-		return err
-	}
-	sem := n.Semantics()
-	if n.Hybrid() {
-		// A projection of a set node can carry duplicates.
-		sem = relation.Bag
-	}
-	rel := relation.New(schema, sem)
-	full.Each(func(t relation.Tuple, c int) bool {
-		rel.Add(t.Project(positions), c)
-		return true
-	})
-	b.Set(n.Name, rel)
-	return nil
 }
 
 // ResyncSource rebuilds every materialized node fed by src from a fresh
@@ -216,7 +187,7 @@ func (m *Mediator) ResyncSource(src string) error {
 		if !affected[name] {
 			continue
 		}
-		if err := writeMaterialized(b, v.Node(name), states[name]); err != nil {
+		if err := storePortion(b, v, v.Node(name), states[name]); err != nil {
 			return err
 		}
 	}

@@ -43,6 +43,9 @@ func TestResyncStillDownNotOvertaken(t *testing.T) {
 	if q := e.med.QuarantinedSources(); len(q) != 0 {
 		t.Errorf("quarantine must lift after successful resync: %v", q)
 	}
+	if err := e.med.CheckJoinIndexes(); err != nil {
+		t.Errorf("store rebuilt by resync: %v", err)
+	}
 }
 
 // A resync whose snapshot poll is overtaken by newer penned announcements
@@ -97,5 +100,8 @@ func TestResyncOvertakenClassifiedAndCleared(t *testing.T) {
 	}
 	if q := e.med.QuarantinedSources(); len(q) != 0 {
 		t.Errorf("quarantine must lift: %v", q)
+	}
+	if err := e.med.CheckJoinIndexes(); err != nil {
+		t.Errorf("store rebuilt by resync: %v", err)
 	}
 }

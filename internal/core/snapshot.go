@@ -120,7 +120,7 @@ func (m *Mediator) Restore(snap *StateSnapshot) error {
 	}
 	b := m.vstore.Begin()
 	for name, rel := range snap.Store {
-		b.Set(name, rel.Clone())
+		setStored(b, v, name, rel.Clone())
 	}
 	seq := snap.StoreVersion
 	if seq == 0 {

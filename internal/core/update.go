@@ -134,17 +134,57 @@ func (m *Mediator) runUpdateOnce(attempt int) (ran, retry bool, err error) {
 		m.obs.txnPropagate.ObserveSince(propStart)
 	}
 
-	// Commit: remove the processed prefix, advance ref′, and publish the
-	// new version. mu first: if another writer published while we were
-	// polling, the builder extends a superseded version — applying it
-	// would resurrect pre-resync state — so discard it and retry. While
-	// the base is unchanged the snapshot is still exactly the queue's
-	// prefix: only publishers remove queue entries, and they all hold mu.
 	commitStart := time.Now()
+	published, retry, err := m.commitUpdate(b, snapshot, combined, newRef, captured)
+	if err != nil || retry {
+		return false, retry, err
+	}
+	// Everything below reports a commit that is already visible, so none of
+	// it runs inside the store mutex: the histograms, the two events (their
+	// Fields maps and the formatted subject) and the trace record. txnMu is
+	// still held, which keeps their order across update transactions; per
+	// version the update-txn event still precedes its publish event.
+	atoms := combined.Card()
+	m.stats.updateTxns.Add(1)
+	m.stats.atomsPropagated.Add(int64(atoms))
+	m.obs.txnCommit.ObserveSince(commitStart)
+	m.obs.txnTotal.ObserveSince(start)
+	m.obs.txnsTotal.Inc()
+	seq := int64(published.Seq())
+	m.obs.reg.Emit(metrics.Event{
+		Type: metrics.EventUpdateTxn, Dur: time.Since(start),
+		Fields: map[string]int64{
+			"atoms": int64(atoms), "polls": int64(polled),
+			"announcements": int64(len(snapshot)), "attempt": int64(attempt),
+			"version": seq,
+		},
+	})
+	m.obs.reg.Emit(metrics.Event{
+		Type: metrics.EventPublish, Subject: fmt.Sprintf("v%d", seq),
+		Fields: map[string]int64{"version": seq},
+	})
+	m.recorder.RecordUpdate(trace.UpdateTxn{
+		Committed: published.Stamp(),
+		Reflect:   published.Reflect(),
+		Atoms:     atoms,
+		Polled:    polled,
+	})
+	return true, false, nil
+}
+
+// commitUpdate is the commit critical section of an update transaction:
+// under mu it removes the processed queue prefix, advances ref′, logs the
+// commit record and publishes the builder as the next version, returning
+// it. retry reports that another writer published while the transaction
+// was polling: the builder extends a superseded version — applying it
+// would resurrect pre-resync state — so it is discarded. While the base
+// is unchanged the snapshot is still exactly the queue's prefix: only
+// publishers remove queue entries, and they all hold mu.
+func (m *Mediator) commitUpdate(b *store.Builder, snapshot []source.Announcement, combined *delta.Delta, newRef clock.Vector, captured map[string]*delta.RelDelta) (published *store.Version, retry bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.vstore.Current() != b.Base() {
-		return false, true, nil
+		return nil, true, nil
 	}
 	// Durability point: the commit record must be on stable storage before
 	// the version is published — a crash after the publish then recovers
@@ -171,7 +211,7 @@ func (m *Mediator) runUpdateOnce(attempt int) (ran, retry bool, err error) {
 			Delta:         combined,
 		}
 		if err := m.commitLog.LogCommit(rec); err != nil {
-			return false, false, fmt.Errorf("core: commit log: %w", err)
+			return nil, false, fmt.Errorf("core: commit log: %w", err)
 		}
 	}
 	// Under qmu, so a query pinning a version always sees a queue/done
@@ -191,7 +231,7 @@ func (m *Mediator) runUpdateOnce(attempt int) (ran, retry bool, err error) {
 			m.lastProcessed[src] = t
 		}
 	}
-	published := m.vstore.Publish(b, reflect, committed)
+	published = m.vstore.Publish(b, reflect, committed)
 	m.pruneDoneLocked()
 	m.pruneEpochsLocked()
 	m.obs.queueLen.Set(int64(len(m.queue)))
@@ -206,35 +246,7 @@ func (m *Mediator) runUpdateOnce(attempt int) (ran, retry bool, err error) {
 	// re-announces this commit as the tier's own, keyed by the version's
 	// sequence number, before the next publish can happen.
 	m.feedCommitLocked(published, captured)
-
-	m.stats.updateTxns.Add(1)
-	m.stats.atomsPropagated.Add(int64(combined.Card()))
-	m.obs.txnCommit.ObserveSince(commitStart)
-	m.obs.txnTotal.ObserveSince(start)
-	m.obs.txnsTotal.Inc()
-	seq := uint64(0)
-	if v := m.vstore.Current(); v != nil {
-		seq = v.Seq()
-	}
-	m.obs.reg.Emit(metrics.Event{
-		Type: metrics.EventUpdateTxn, Dur: time.Since(start),
-		Fields: map[string]int64{
-			"atoms": int64(combined.Card()), "polls": int64(polled),
-			"announcements": int64(len(snapshot)), "attempt": int64(attempt),
-			"version": int64(seq),
-		},
-	})
-	m.obs.reg.Emit(metrics.Event{
-		Type: metrics.EventPublish, Subject: fmt.Sprintf("v%d", seq),
-		Fields: map[string]int64{"version": int64(seq)},
-	})
-	m.recorder.RecordUpdate(trace.UpdateTxn{
-		Committed: committed,
-		Reflect:   reflect.Clone(),
-		Atoms:     combined.Card(),
-		Polled:    polled,
-	})
-	return true, false, nil
+	return published, false, nil
 }
 
 // coalesceAnnouncements combines a queue snapshot into one net delta per
@@ -272,6 +284,15 @@ func (m *Mediator) coalesceAnnouncements(snapshot []source.Announcement) (*delta
 // no further Smash once the node is processed (its children all precede
 // it in the topological order).
 func (m *Mediator) runKernel(b *store.Builder, combined *delta.Delta, temps *tempResult) (map[string]*delta.RelDelta, error) {
+	// Sibling rows the rules read, by access path: the kernel runs under
+	// txnMu, so the plan's cumulative counts move only on its behalf here.
+	v := m.curVDP()
+	probed0, scanned0 := v.JoinRowCounts()
+	defer func() {
+		probed, scanned := v.JoinRowCounts()
+		m.obs.probeRows.Add(probed - probed0)
+		m.obs.scanRows.Add(scanned - scanned0)
+	}()
 	if m.workers >= 1 {
 		return m.kernelStaged(b, combined, temps, m.workers)
 	}

@@ -82,8 +82,12 @@ func E12BatchingAblation(w io.Writer) error {
 
 // E13JoinStrategyAblation measures the §5.3 remark that joins without a
 // usable index are expensive: the same equi-join evaluated three ways —
-// nested loop (condition hidden from the extractor), transient hash
-// build, and a persistent index probe.
+// nested loop (condition hidden from the extractor), a join index built on
+// the spot (over the smaller side; the other side is read in full), and a
+// probe of a resident join index (relation.EnsureIndex, what the mediator
+// keeps on stored join siblings). Each size runs with a full-size left side
+// and with a delta-sized one (8 rows): only the resident index makes the
+// small join cost O(|L|) instead of O(|R|).
 func E13JoinStrategyAblation(w io.Writer) error {
 	t := &Table{
 		Title:  "E13 — ablation: join strategies (§5.3: \"whether indices can be used\")",
@@ -94,52 +98,56 @@ func E13JoinStrategyAblation(w io.Writer) error {
 	rs := relation.MustSchema("Rr", []relation.Attribute{
 		{Name: "rk", Type: relation.KindInt}, {Name: "rv", Type: relation.KindInt}})
 	for _, n := range []int{500, 2000} {
-		rng := newRng(int64(n))
-		l := relation.NewBag(ls)
-		rPlain := relation.NewBag(rs)
-		rIndexed := relation.NewBag(rs)
-		if err := rIndexed.BuildIndex("rk"); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			l.Add(relation.T(rng.Intn(n), rng.Intn(10)), 1)
-			tr := relation.T(rng.Intn(n), rng.Intn(10))
-			rPlain.Add(tr, 1)
-			rIndexed.Add(tr, 1)
-		}
-		hashCond := algebra.Eq(algebra.A("lk"), algebra.A("rk"))
-		// Hiding the equality inside arithmetic defeats extraction →
-		// nested loop with residual evaluation.
-		nlCond := algebra.Eq(algebra.Add(algebra.A("lk"), algebra.CInt(0)), algebra.A("rk"))
-
-		cases := []struct {
-			name string
-			r    *relation.Relation
-			cond algebra.Expr
-			reps int
-		}{
-			{"nested-loop", rPlain, nlCond, 3},
-			{"hash-build", rPlain, hashCond, 10},
-			{"index-probe", rIndexed, hashCond, 10},
-		}
-		var want *relation.Relation
-		for _, c := range cases {
-			var rows int
-			start := time.Now()
-			for rep := 0; rep < c.reps; rep++ {
-				out, err := algebra.EvalJoin(l, c.r, c.cond, "J")
-				if err != nil {
-					return err
-				}
-				rows = out.Card()
-				if want == nil {
-					want = out
-				} else if !out.Equal(want) {
-					return fmt.Errorf("E13: %s produced different results", c.name)
-				}
+		for _, nl := range []int{8, n} {
+			rng := newRng(int64(n))
+			l := relation.NewBag(ls)
+			rPlain := relation.NewBag(rs)
+			rIndexed := relation.NewBag(rs)
+			if err := rIndexed.EnsureIndex("rk"); err != nil {
+				return err
 			}
-			perJoin := float64(time.Since(start).Microseconds()) / float64(c.reps)
-			t.Add(n, n, c.name, perJoin, rows)
+			for i := 0; i < n; i++ {
+				if i < nl {
+					l.Add(relation.T(rng.Intn(n), rng.Intn(10)), 1)
+				}
+				tr := relation.T(rng.Intn(n), rng.Intn(10))
+				rPlain.Add(tr, 1)
+				rIndexed.Add(tr, 1)
+			}
+			hashCond := algebra.Eq(algebra.A("lk"), algebra.A("rk"))
+			// Hiding the equality inside arithmetic defeats extraction →
+			// nested loop with residual evaluation.
+			nlCond := algebra.Eq(algebra.Add(algebra.A("lk"), algebra.CInt(0)), algebra.A("rk"))
+
+			cases := []struct {
+				name string
+				r    *relation.Relation
+				cond algebra.Expr
+				reps int
+			}{
+				{"nested-loop", rPlain, nlCond, 3},
+				{"index-on-the-spot", rPlain, hashCond, 20},
+				{"resident-index", rIndexed, hashCond, 20},
+			}
+			var want int
+			for ci, c := range cases {
+				var rows int
+				start := time.Now()
+				for rep := 0; rep < c.reps; rep++ {
+					out, err := algebra.EvalJoin(l, c.r, c.cond, "J")
+					if err != nil {
+						return err
+					}
+					rows = out.Card()
+				}
+				if ci == 0 {
+					want = rows
+				} else if rows != want {
+					return fmt.Errorf("E13: %s produced %d rows, nested loop %d", c.name, rows, want)
+				}
+				perJoin := float64(time.Since(start).Microseconds()) / float64(c.reps)
+				t.Add(nl, n, c.name, perJoin, rows)
+			}
 		}
 	}
 	t.Print(w)

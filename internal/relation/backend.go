@@ -59,11 +59,12 @@ func (r *Relation) addMode() AddMode {
 }
 
 // AddSlot adds n occurrences of src's slot tuple into r under r's
-// semantics, maintaining cardinality and indexes, and returns the applied
-// change. This is the slot-wise apply primitive block-backed deltas use;
-// it falls back to tuple materialization when r is row-backed or indexed.
+// semantics, maintaining cardinality (and, inside the map, any resident
+// join index), and returns the applied change. This is the slot-wise apply
+// primitive block-backed deltas use; it falls back to tuple
+// materialization when r is row-backed.
 func (r *Relation) AddSlot(src *TupleMap, slot int32, n int64) int64 {
-	if r.tm == nil || len(r.indexes) > 0 {
+	if r.tm == nil {
 		t := make(Tuple, 0, src.Arity())
 		t = src.AppendTupleAt(t, slot)
 		a, _ := r.Add(t, int(n))
@@ -75,12 +76,11 @@ func (r *Relation) AddSlot(src *TupleMap, slot int32, n int64) int64 {
 }
 
 // CopyInto adds every row of src into dst, accumulating multiplicities
-// under dst's semantics. When both relations are block-backed (and dst is
-// unindexed) the copy is vectorized: stored hashes are reused and values
-// move column-to-column without materializing tuples or key strings.
-// Arities must match.
+// under dst's semantics. When both relations are block-backed the copy is
+// vectorized: stored hashes are reused and values move column-to-column
+// without materializing tuples or key strings. Arities must match.
 func CopyInto(dst, src *Relation) {
-	if dst.tm != nil && src.tm != nil && len(dst.indexes) == 0 {
+	if dst.tm != nil && src.tm != nil {
 		mode := dst.addMode()
 		src.tm.EachSlot(func(s int32, n int64) bool {
 			a, _ := dst.tm.AddFrom(src.tm, s, n, mode)
@@ -101,7 +101,7 @@ func CopyInto(dst, src *Relation) {
 // scratch buffer reused between calls — predicates must not retain it.
 // len(positions) must equal dst's arity.
 func ProjectSelectInto(dst, src *Relation, positions []int, pred func(t Tuple) (bool, error)) error {
-	if dst.tm != nil && src.tm != nil && len(dst.indexes) == 0 {
+	if dst.tm != nil && src.tm != nil {
 		mode := dst.addMode()
 		var scratch Tuple
 		var err error

@@ -99,10 +99,10 @@ func TestCrossBackendEquivalence(t *testing.T) {
 				t.Fatalf("seed %d: distinct diverges", seed)
 			}
 			for v := 0; v < 4; v++ {
-				pr, err1 := rr.Probe([]string{"b"}, []Value{Str(fmt.Sprintf("s%d", v))})
-				pb, err2 := rb.Probe([]string{"b"}, []Value{Str(fmt.Sprintf("s%d", v))})
-				if err1 != nil || err2 != nil || len(pr) != len(pb) {
-					t.Fatalf("seed %d: probe diverges: %v %v %d %d", seed, err1, err2, len(pr), len(pb))
+				pr := probeRows(t, rr, "b", Str(fmt.Sprintf("s%d", v)))
+				pb := probeRows(t, rb, "b", Str(fmt.Sprintf("s%d", v)))
+				if len(pr) != len(pb) {
+					t.Fatalf("seed %d: probe diverges: %d %d", seed, len(pr), len(pb))
 				}
 				for i := range pr {
 					if !pr[i].Tuple.Equal(pb[i].Tuple) || pr[i].Count != pb[i].Count {
@@ -119,22 +119,22 @@ func TestCrossBackendEquivalence(t *testing.T) {
 func TestBlocksIndexedProbe(t *testing.T) {
 	withBackend(t, Blocks)
 	r := NewBag(MustSchema("R", []Attribute{{"k", KindInt}, {"v", KindString}}))
-	if err := r.BuildIndex("v"); err != nil {
+	if err := r.EnsureIndex("v"); err != nil {
 		t.Fatal(err)
 	}
 	r.Insert(T(1, "a"))
 	r.Insert(T(2, "a"))
 	r.Add(T(2, "a"), 2)
 	r.Insert(T(3, "b"))
-	rows, err := r.Probe([]string{"v"}, []Value{Str("a")})
-	if err != nil || len(rows) != 2 {
-		t.Fatalf("probe: %v %v", rows, err)
+	rows := probeRows(t, r, "v", Str("a"))
+	if len(rows) != 2 {
+		t.Fatalf("probe: %v", rows)
 	}
 	if rows[1].Count != 3 {
 		t.Errorf("multiplicity through index: %d", rows[1].Count)
 	}
 	r.Add(T(1, "a"), -1)
-	rows, _ = r.Probe([]string{"v"}, []Value{Str("a")})
+	rows = probeRows(t, r, "v", Str("a"))
 	if len(rows) != 1 || rows[0].Tuple[0].AsInt() != 2 {
 		t.Errorf("index not maintained on delete: %v", rows)
 	}

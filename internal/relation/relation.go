@@ -32,7 +32,7 @@ type row struct {
 }
 
 // Relation is an in-memory relation instance with set or bag semantics and
-// optional hash indexes on attribute subsets.
+// optional join indexes on attribute subsets (index.go).
 //
 // Two physical backends implement the same observable behavior: the
 // columnar Blocks backend (a TupleMap of type-specialized column vectors)
@@ -40,18 +40,12 @@ type row struct {
 // encodings), retained as a differential oracle. Exactly one of tm / rows
 // is non-nil.
 type Relation struct {
-	schema  *Schema
-	sem     Semantics
-	bk      Backend
-	rows    map[string]*row // Rows backend
-	tm      *TupleMap       // Blocks backend
-	indexes map[string]*index
-	card    int // total multiplicity
-}
-
-type index struct {
-	positions []int
-	buckets   map[string]map[string]struct{} // value key -> set of tuple keys
+	schema *Schema
+	sem    Semantics
+	bk     Backend
+	rows   map[string]*row // Rows backend
+	tm     *TupleMap       // Blocks backend
+	card   int             // total multiplicity
 }
 
 // New creates an empty relation over the given schema with the given
@@ -62,12 +56,7 @@ func New(schema *Schema, sem Semantics) *Relation {
 
 // NewWith creates an empty relation on an explicit backend.
 func NewWith(schema *Schema, sem Semantics, bk Backend) *Relation {
-	r := &Relation{
-		schema:  schema,
-		sem:     sem,
-		bk:      bk,
-		indexes: make(map[string]*index),
-	}
+	r := &Relation{schema: schema, sem: sem, bk: bk}
 	if bk == Rows {
 		r.rows = make(map[string]*row)
 	} else {
@@ -93,8 +82,7 @@ func (r *Relation) Backend() Backend { return r.bk }
 
 // Blockmap exposes the underlying columnar store when the relation is
 // block-backed (nil otherwise). Intended for the vectorized kernels in
-// internal/delta; mutating through it bypasses index and cardinality
-// maintenance.
+// internal/delta; mutating through it bypasses cardinality maintenance.
 func (r *Relation) Blockmap() *TupleMap { return r.tm }
 
 // Len returns the number of distinct tuples.
@@ -139,8 +127,8 @@ func (r *Relation) Delete(t Tuple) bool {
 
 // Add adjusts the multiplicity of t by n (which may be negative), clamping
 // the result at zero and, for sets, at one. It returns the actual applied
-// change and the new multiplicity. On the blocks backend with no indexes
-// this path builds no key string and performs zero per-tuple allocations.
+// change and the new multiplicity. On the blocks backend this path builds
+// no key string and performs zero per-tuple allocations.
 func (r *Relation) Add(t Tuple, n int) (applied, newCount int) {
 	if len(t) != r.schema.Arity() {
 		panic(fmt.Sprintf("relation: arity mismatch inserting into %s: tuple %s", r.schema.Name(), t))
@@ -148,14 +136,6 @@ func (r *Relation) Add(t Tuple, n int) (applied, newCount int) {
 	if r.tm != nil {
 		a, nc := r.tm.Add(t, int64(n), r.addMode())
 		r.card += int(a)
-		if len(r.indexes) > 0 && a != 0 {
-			old := nc - a
-			if old == 0 && nc > 0 {
-				r.indexTuple(t.Key(), t)
-			} else if old > 0 && nc == 0 {
-				r.unindex(t.Key(), t)
-			}
-		}
 		return int(a), int(nc)
 	}
 	key := t.Key()
@@ -178,13 +158,11 @@ func (r *Relation) Add(t Tuple, n int) (applied, newCount int) {
 	r.card += applied
 	if target == 0 {
 		delete(r.rows, key)
-		r.unindex(key, rw.tuple)
 		return applied, 0
 	}
 	if rw == nil {
 		rw = &row{tuple: t.Clone()}
 		r.rows[key] = rw
-		r.indexTuple(key, rw.tuple)
 	}
 	rw.count = target
 	return applied, target
@@ -234,17 +212,11 @@ func (r *Relation) Tuples() []Tuple {
 	return out
 }
 
-// Clone returns a deep copy of the relation (indexes are rebuilt lazily).
-// On the blocks backend this is a handful of slice copies, which is what
-// makes copy-on-write store versions cheap for large relations.
+// Clone returns a deep copy of the relation, resident join indexes
+// included. On the blocks backend this is a handful of slice copies, which
+// is what makes copy-on-write store versions cheap for large relations.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{
-		schema:  r.schema,
-		sem:     r.sem,
-		bk:      r.bk,
-		indexes: make(map[string]*index),
-		card:    r.card,
-	}
+	c := &Relation{schema: r.schema, sem: r.sem, bk: r.bk, card: r.card}
 	if r.tm != nil {
 		c.tm = r.tm.Clone()
 		return c
@@ -264,9 +236,6 @@ func (r *Relation) Clear() {
 		r.rows = make(map[string]*row)
 	}
 	r.card = 0
-	for _, ix := range r.indexes {
-		ix.buckets = make(map[string]map[string]struct{})
-	}
 }
 
 // Equal reports whether two relations have identical contents (same tuples
@@ -320,109 +289,6 @@ func (r *Relation) EqualAsSet(o *Relation) bool {
 		return eq
 	})
 	return eq
-}
-
-// BuildIndex creates (or rebuilds) a hash index over the named attributes.
-// Probe can then be used for constant-time lookups. Indexes are maintained
-// incrementally by Insert/Delete/Add.
-func (r *Relation) BuildIndex(attrs ...string) error {
-	positions, err := r.schema.Positions(attrs)
-	if err != nil {
-		return err
-	}
-	name := strings.Join(attrs, ",")
-	ix := &index{positions: positions, buckets: make(map[string]map[string]struct{})}
-	r.Each(func(t Tuple, n int) bool {
-		ix.add(t.Key(), t)
-		return true
-	})
-	r.indexes[name] = ix
-	return nil
-}
-
-// HasIndex reports whether an index exists over exactly the named
-// attributes.
-func (r *Relation) HasIndex(attrs ...string) bool {
-	_, ok := r.indexes[strings.Join(attrs, ",")]
-	return ok
-}
-
-// Probe returns the rows whose named attributes equal the given values,
-// using an index if one exists over exactly those attributes and scanning
-// otherwise.
-func (r *Relation) Probe(attrs []string, vals []Value) ([]Row, error) {
-	positions, err := r.schema.Positions(attrs)
-	if err != nil {
-		return nil, err
-	}
-	want := Tuple(vals).Key()
-	var out []Row
-	if ix, ok := r.indexes[strings.Join(attrs, ",")]; ok {
-		for key := range ix.buckets[want] {
-			if rw, found := r.lookupKey(key); found {
-				out = append(out, rw)
-			}
-		}
-	} else {
-		r.Each(func(t Tuple, n int) bool {
-			if t.KeyOn(positions) == want {
-				out = append(out, Row{Tuple: t, Count: n})
-			}
-			return true
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tuple.Compare(out[j].Tuple) < 0 })
-	return out, nil
-}
-
-// lookupKey resolves a canonical tuple key to its row on either backend.
-func (r *Relation) lookupKey(key string) (Row, bool) {
-	if r.tm != nil {
-		slot := r.tm.findKey(key)
-		if slot < 0 {
-			return Row{}, false
-		}
-		t := make(Tuple, 0, r.tm.Arity())
-		t = r.tm.AppendTupleAt(t, slot)
-		return Row{Tuple: t, Count: int(r.tm.CountAt(slot))}, true
-	}
-	rw, ok := r.rows[key]
-	if !ok {
-		return Row{}, false
-	}
-	return Row{Tuple: rw.tuple, Count: rw.count}, true
-}
-
-func (ix *index) add(key string, t Tuple) {
-	vk := t.KeyOn(ix.positions)
-	b := ix.buckets[vk]
-	if b == nil {
-		b = make(map[string]struct{})
-		ix.buckets[vk] = b
-	}
-	b[key] = struct{}{}
-}
-
-func (ix *index) remove(key string, t Tuple) {
-	vk := t.KeyOn(ix.positions)
-	if b := ix.buckets[vk]; b != nil {
-		delete(b, key)
-		if len(b) == 0 {
-			delete(ix.buckets, vk)
-		}
-	}
-}
-
-func (r *Relation) indexTuple(key string, t Tuple) {
-	for _, ix := range r.indexes {
-		ix.add(key, t)
-	}
-}
-
-func (r *Relation) unindex(key string, t Tuple) {
-	for _, ix := range r.indexes {
-		ix.remove(key, t)
-	}
 }
 
 // String renders the relation contents deterministically, one row per line.

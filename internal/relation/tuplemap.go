@@ -31,6 +31,9 @@ type TupleMap struct {
 	live  int // slots with a nonzero count
 	used  int // table entries occupied, tombstones included
 	free  []int32
+	// Resident join indexes (index.go), maintained in adjust on every
+	// 0↔positive transition and copied by Clone.
+	indexes []*JoinIndex
 }
 
 const tombstone = int32(-1)
@@ -272,6 +275,9 @@ func (m *TupleMap) adjust(slot int32, tableIdx, tombIdx int, h uint64, n int64, 
 			m.free = append(m.free, slot)
 			m.table[tableIdx] = tombstone
 			m.live--
+			for _, ix := range m.indexes {
+				ix.remove(slot)
+			}
 			return applied, 0
 		}
 		m.counts[slot] = target
@@ -291,6 +297,9 @@ func (m *TupleMap) adjust(slot int32, tableIdx, tombIdx int, h uint64, n int64, 
 	m.live++
 	if uint64(m.used)*4 >= (m.mask+1)*3 {
 		m.rehash()
+	}
+	for _, ix := range m.indexes {
+		ix.insert(s)
 	}
 	return applied, target
 }
@@ -364,9 +373,10 @@ func (m *TupleMap) Each(fn func(t Tuple, n int64) bool) {
 	}
 }
 
-// Clone deep-copies the map. Column vectors, the count/hash vectors, and
-// the open-addressed table copy as whole slices — the structural reason
-// copy-on-write cloning of large block-backed stores is cheap.
+// Clone deep-copies the map. Column vectors, the count/hash vectors, the
+// open-addressed table and the join indexes copy as whole slices — the
+// structural reason copy-on-write cloning of large block-backed stores is
+// cheap.
 func (m *TupleMap) Clone() *TupleMap {
 	out := &TupleMap{
 		arity:  m.arity,
@@ -384,10 +394,13 @@ func (m *TupleMap) Clone() *TupleMap {
 	for c := range m.cols {
 		out.cols[c] = m.cols[c].clone()
 	}
+	for _, ix := range m.indexes {
+		out.indexes = append(out.indexes, ix.clone(out))
+	}
 	return out
 }
 
-// Clear removes every entry, retaining capacity.
+// Clear removes every entry, retaining capacity and index definitions.
 func (m *TupleMap) Clear() {
 	for i := range m.table {
 		m.table[i] = 0
@@ -402,6 +415,9 @@ func (m *TupleMap) Clear() {
 		cc.floats = cc.floats[:0]
 		cc.syms = cc.syms[:0]
 		cc.vals = cc.vals[:0]
+	}
+	for _, ix := range m.indexes {
+		ix.clear()
 	}
 }
 
@@ -424,34 +440,6 @@ func (m *TupleMap) GetFrom(src *TupleMap, srcSlot int32) int64 {
 		return 0
 	}
 	return m.counts[slot]
-}
-
-// hashString is hashBytes over a string without conversion.
-func hashString(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}
-
-// findKey resolves a canonical tuple key (the Tuple.Key form) to its live
-// slot, or -1. Used by the index layer, which stores canonical keys.
-func (m *TupleMap) findKey(key string) int32 {
-	if m.live == 0 {
-		return -1
-	}
-	h := hashString(key)
-	var arr [128]byte
-	slot, _, _ := m.findWith(h, func(s int32) bool {
-		return string(m.appendKeyAt(arr[:0], s)) == key
-	})
-	return slot
 }
 
 // appendKeyAt appends the canonical key encoding of the full tuple at a

@@ -9,6 +9,7 @@ import (
 	"squirrel/internal/clock"
 	"squirrel/internal/core"
 	"squirrel/internal/delta"
+	"squirrel/internal/metrics"
 	"squirrel/internal/relation"
 	"squirrel/internal/sim"
 	"squirrel/internal/source"
@@ -704,7 +705,7 @@ func (r *runner) assert(a *AssertStep) {
 	if len(a.Stats) > 0 {
 		st := r.med().Stats()
 		for _, sa := range a.Stats {
-			v := statValue(st, sa.Name)
+			v := statValue(st, r.med().Metrics(), sa.Name)
 			if v < sa.Min || (sa.Max >= 0 && v > sa.Max) {
 				r.failf("assert stats: %s=%d outside [%d, %s]", sa.Name, v, sa.Min, maxString(sa.Max))
 				return
@@ -761,8 +762,12 @@ func (r *runner) theorem72Bounds() clock.Vector {
 	return r.h.Delay.Bounds(r.h.Med, r.h.Plan.Sources())
 }
 
-func statValue(st core.Stats, name string) int64 {
+func statValue(st core.Stats, reg *metrics.Registry, name string) int64 {
 	switch name {
+	case "kernel_probe_rows":
+		return reg.Counter(core.MetricKernelProbeRows).Value()
+	case "kernel_scan_rows":
+		return reg.Counter(core.MetricKernelScanRows).Value()
 	case "update_txns":
 		return int64(st.UpdateTxns)
 	case "query_txns":

@@ -57,55 +57,13 @@ func (v *VDP) propagate(node, child string, dc *delta.RelDelta, resolve Resolver
 	}
 	switch d := n.Def.(type) {
 	case SPJ:
-		return propagateSPJ(n, d, child, childNode.Schema, dc, resolve, naive)
+		return v.propagateSPJ(n, d, child, childNode.Schema, dc, resolve, naive)
 	case UnionDef:
 		return propagateUnion(n, d, child, childNode.Schema, dc)
 	case DiffDef:
 		return propagateDiff(n, d, child, childNode.Schema, dc, resolve)
 	}
 	return nil, fmt.Errorf("vdp: node %q has unsupported definition type %T", n.Name, n.Def)
-}
-
-// deltaThroughInput pushes dc through an input wrapper π_Proj σ_Where,
-// yielding the positive and negative parts as bag relations over the
-// projected child schema.
-func deltaThroughInput(in SPJInput, childSchema *relation.Schema, dc *delta.RelDelta) (pos, neg *relation.Relation, err error) {
-	proj := in.Proj
-	if len(proj) == 0 {
-		proj = childSchema.AttrNames()
-	}
-	schema, err := childSchema.Project(in.Rel, proj)
-	if err != nil {
-		return nil, nil, err
-	}
-	positions, err := childSchema.Positions(proj)
-	if err != nil {
-		return nil, nil, err
-	}
-	pos = relation.NewBag(schema)
-	neg = relation.NewBag(schema)
-	var evalErr error
-	dc.Each(func(t relation.Tuple, c int) bool {
-		ok, err := algebra.EvalPred(in.Where, childSchema, t)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if !ok {
-			return true
-		}
-		p := t.Project(positions)
-		if c > 0 {
-			pos.Add(p, c)
-		} else {
-			neg.Add(p, -c)
-		}
-		return true
-	})
-	if evalErr != nil {
-		return nil, nil, evalErr
-	}
-	return pos, neg, nil
 }
 
 // projectDeltaTo narrows a full-width delta to the attribute subset of a
@@ -121,25 +79,33 @@ func projectDeltaTo(dc *delta.RelDelta, full *relation.Schema, narrow *relation.
 	return dc.Project(dc.Rel(), positions), nil
 }
 
-func propagateSPJ(n *Node, d SPJ, child string, childSchema *relation.Schema, dc *delta.RelDelta, resolve Resolver, naive bool) (*delta.RelDelta, error) {
+// propagateSPJ fires the SPJ rule of edge (n, child): one delta-driven
+// join driver for every operand kind. Each delta row that passes its own
+// input's σ is walked through the remaining inputs in the plan's probe
+// order (spjplan.go); every step looks the bound key up in a join index
+// over the sibling's state and applies the sibling's σ/π and, at the end,
+// the residual condition to the matched rows only — the sibling is never
+// copied or scanned. A sibling whose state carries no resident index on
+// the key (a VAP temporary, a row-backed relation, a hybrid store lacking
+// the join attribute) gets one built on the spot for this firing, so the
+// only difference between the two is whether the index already exists.
+func (v *VDP) propagateSPJ(n *Node, d SPJ, child string, childSchema *relation.Schema, dc *delta.RelDelta, resolve Resolver, naive bool) (*delta.RelDelta, error) {
 	out := delta.NewRel(n.Name)
 	// The child's own state is needed only for self-joins (leaf children,
 	// in particular, have no resolvable state), so resolve lazily.
-	var childState *relation.Relation
+	var childOld, childNew *relation.Relation
 	oldState := func() (*relation.Relation, error) {
-		if childState == nil {
+		if childOld == nil {
 			var err error
-			childState, err = resolve(child)
-			if err != nil {
+			if childOld, err = resolve(child); err != nil {
 				return nil, err
 			}
 		}
-		return childState, nil
+		return childOld, nil
 	}
 	// New state of the updated child, materialized lazily. The resolved
 	// state may be a narrow temporary, so the delta is projected onto it
-	// first.
-	var childNew *relation.Relation
+	// first. The clone keeps the old state's join indexes.
 	newState := func() (*relation.Relation, error) {
 		if childNew == nil {
 			old, err := oldState()
@@ -162,54 +128,37 @@ func propagateSPJ(n *Node, d SPJ, child string, childSchema *relation.Schema, dc
 			continue
 		}
 		occurrences++
-		// Assemble operand states for this occurrence.
-		rels := make([]*relation.Relation, len(d.Inputs))
-		for j, other := range d.Inputs {
-			if j == i {
-				continue
-			}
-			var base *relation.Relation
-			var err error
-			switch {
+		f := spjFiring{plan: v.plans[n.Name], out: out}
+		err := f.bind(n, d, i, childSchema, func(j int) (*relation.Relation, error) {
+			switch other := d.Inputs[j]; {
 			case other.Rel != child:
-				base, err = resolve(other.Rel)
-			case naive:
+				return resolve(other.Rel)
+			case naive || j > i:
 				// Naive: all other occurrences at the resolver's state.
-				base, err = oldState()
-			case j < i:
-				base, err = newState()
+				return oldState()
 			default:
-				base, err = oldState()
+				return newState()
 			}
-			if err != nil {
-				return nil, err
-			}
-			r, err := projectSelectInput(other, base, j)
-			if err != nil {
-				return nil, err
-			}
-			rels[j] = r
-		}
-		pos, neg, err := deltaThroughInput(in, childSchema, dc)
+		})
 		if err != nil {
 			return nil, err
 		}
-		for _, part := range []struct {
-			rel  *relation.Relation
-			sign int
-		}{{pos, 1}, {neg, -1}} {
-			if part.rel.Len() == 0 {
-				continue
+		enter := &f.operands[i]
+		dc.Each(func(t relation.Tuple, c int) bool {
+			var ok bool
+			if ok, err = algebra.EvalPred(in.Where, childSchema, t); err != nil || !ok {
+				return err == nil
 			}
-			rels[i] = renameBag(part.rel, occName(in.Rel, i))
-			contrib, err := joinProjectSPJ(n, d, rels)
-			if err != nil {
-				return nil, err
+			for k, p := range enter.positions {
+				f.row[enter.off+k] = t[p]
 			}
-			contrib.Each(func(t relation.Tuple, c int) bool {
-				out.Add(t, part.sign*c)
-				return true
-			})
+			err = f.walk(0, c)
+			return err == nil
+		})
+		v.probedRows.Add(f.probed)
+		v.scannedRows.Add(f.scanned)
+		if err != nil {
+			return nil, err
 		}
 	}
 	if occurrences == 0 {
@@ -218,61 +167,147 @@ func propagateSPJ(n *Node, d SPJ, child string, childSchema *relation.Schema, dc
 	return out, nil
 }
 
-// projectSelectInput evaluates one SPJ input wrapper over an explicit base
-// relation, giving the operand a per-occurrence unique name so self-joins
-// concatenate cleanly. When base is a narrow temporary, the projection is
-// restricted to the attributes present (the Requirements machinery
-// guarantees everything needed is there).
-func projectSelectInput(in SPJInput, base *relation.Relation, occ int) (*relation.Relation, error) {
-	proj := in.Proj
-	if len(proj) == 0 {
-		proj = base.Schema().AttrNames()
-	} else {
-		var avail []string
-		for _, p := range proj {
-			if base.Schema().HasAttr(p) {
-				avail = append(avail, p)
+// spjFiring is one rule firing bound to the states it reads: the plan's
+// attribute names resolved to positions in the operand states the
+// resolver actually supplied (which may be narrow temporaries).
+type spjFiring struct {
+	plan     *spjPlan
+	operands []spjOperand
+	steps    []int            // operand index per probe step
+	concat   *relation.Schema // the joined row's schema, inputs in definition order
+	row      relation.Tuple   // the joined row under construction
+	proj     []int            // row positions of the node's attributes
+	outRow   relation.Tuple
+	out      *delta.RelDelta
+
+	probed, scanned int64
+}
+
+// spjOperand is one input of a firing. The entering input uses only
+// positions and off; probed inputs also carry the index and their σ.
+type spjOperand struct {
+	ix        *relation.JoinIndex
+	resident  bool
+	schema    *relation.Schema // of the state behind ix
+	where     algebra.Expr     // the input's σ conjuncts evaluable on that state
+	positions []int            // π: state positions copied into the row
+	off       int              // where they land in the row
+	keyFrom   []int            // row positions forming the probe key
+	key, base relation.Tuple   // scratch
+}
+
+// bind resolves the firing for a delta entering at input enter. state
+// supplies the relation each other input reads. When a state is narrower
+// than the input's projection (a temporary), the projection is restricted
+// to the attributes present and σ conjuncts over absent attributes are
+// skipped — the Requirements machinery guarantees everything the join
+// needs is there and that the skipped conjuncts were applied when the
+// temporary was built.
+func (f *spjFiring) bind(n *Node, d SPJ, enter int, childSchema *relation.Schema, state func(j int) (*relation.Relation, error)) error {
+	f.operands = make([]spjOperand, len(d.Inputs))
+	rels := make([]*relation.Relation, len(d.Inputs))
+	var attrs []relation.Attribute
+	for j, in := range d.Inputs {
+		op := &f.operands[j]
+		op.schema = childSchema
+		if j != enter {
+			rel, err := state(j)
+			if err != nil {
+				return err
+			}
+			rels[j], op.schema = rel, rel.Schema()
+		}
+		all := op.schema.Attrs()
+		avail := make(map[string]bool, len(all))
+		for _, a := range all {
+			avail[a.Name] = true
+		}
+		op.where, _ = algebra.ConjunctsOver(in.Where, avail)
+		op.off = len(attrs)
+		if len(in.Proj) == 0 {
+			for p := range all {
+				op.positions = append(op.positions, p)
+			}
+			attrs = append(attrs, all...)
+			continue
+		}
+		for _, a := range in.Proj {
+			if p, ok := op.schema.AttrIndex(a); ok {
+				op.positions = append(op.positions, p)
+				attrs = append(attrs, all[p])
 			}
 		}
-		proj = avail
 	}
-	return projectSelect(base, occName(in.Rel, occ), proj, in.Where)
+	var err error
+	if f.concat, err = relation.NewSchema(n.Name+"·joined", attrs); err != nil {
+		return err
+	}
+	if f.proj, err = f.concat.Positions(d.Proj); err != nil {
+		return err
+	}
+	f.row = make(relation.Tuple, len(attrs))
+	f.outRow = make(relation.Tuple, len(f.proj))
+	for _, st := range f.plan.firings[enter] {
+		op := &f.operands[st.input]
+		cols, err := op.schema.Positions(st.key)
+		if err != nil {
+			return err
+		}
+		if op.keyFrom, err = f.concat.Positions(st.from); err != nil {
+			return err
+		}
+		rel := rels[st.input]
+		if op.ix = rel.IndexOn(cols); op.ix != nil {
+			op.resident = true
+		} else {
+			op.ix = relation.NewJoinIndex(rel, cols)
+			f.scanned += int64(rel.Len())
+		}
+		op.key = make(relation.Tuple, len(cols))
+		f.steps = append(f.steps, st.input)
+	}
+	return nil
 }
 
-func occName(rel string, occ int) string { return fmt.Sprintf("%s·occ%d", rel, occ) }
-
-// renameBag relabels a bag relation without copying tuples' contents.
-func renameBag(r *relation.Relation, name string) *relation.Relation {
-	out := relation.NewBag(r.Schema().Rename(name))
-	r.Each(func(t relation.Tuple, c int) bool { out.Add(t, c); return true })
-	return out
-}
-
-// joinProjectSPJ joins the prepared operand relations under the def's join
-// and selection conditions and projects to the node schema.
-//
-// Self-joins need per-occurrence attribute disambiguation: the same child
-// schema appears twice with identical attribute names, which Concat
-// rejects. We suffix attributes of later duplicate occurrences and rewrite
-// the conditions... — instead, since the paper's language has no
-// attribute renaming, duplicate occurrences of a child must project
-// disjoint attribute subsets for the def to validate. joinProjectSPJ
-// therefore relies on disjointness established at validation time.
-func joinProjectSPJ(n *Node, d SPJ, rels []*relation.Relation) (*relation.Relation, error) {
-	joined, err := algebra.JoinChain(rels, algebra.Conj(d.JoinCond, d.Where), n.Name+"·joined")
-	if err != nil {
-		return nil, err
+// walk extends the joined row through probe step k onward; count is the
+// product of the multiplicities bound so far (signed by the delta atom).
+// Past the last step the residual condition decides, and the row projects
+// straight into the output delta.
+func (f *spjFiring) walk(k, count int) error {
+	if k == len(f.steps) {
+		ok, err := algebra.EvalPred(f.plan.residual, f.concat, f.row)
+		if err != nil || !ok {
+			return err
+		}
+		for i, p := range f.proj {
+			f.outRow[i] = f.row[p]
+		}
+		f.out.Add(f.outRow, count)
+		return nil
 	}
-	positions, err := joined.Schema().Positions(d.Proj)
-	if err != nil {
-		return nil, err
+	op := &f.operands[f.steps[k]]
+	for i, p := range op.keyFrom {
+		op.key[i] = f.row[p]
 	}
-	out := relation.NewBag(n.Schema)
-	joined.Each(func(t relation.Tuple, c int) bool {
-		out.Add(t.Project(positions), c)
-		return true
-	})
-	return out, nil
+	tm := op.ix.Map()
+	for s := op.ix.First(op.key); s >= 0; s = op.ix.Next(s, op.key) {
+		if op.resident {
+			f.probed++
+		}
+		op.base = tm.AppendTupleAt(op.base[:0], s)
+		if ok, err := algebra.EvalPred(op.where, op.schema, op.base); err != nil {
+			return err
+		} else if !ok {
+			continue
+		}
+		for i, p := range op.positions {
+			f.row[op.off+i] = op.base[p]
+		}
+		if err := f.walk(k+1, count*int(tm.CountAt(s))); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // propagateUnion: incremental updates pass through each matching branch's

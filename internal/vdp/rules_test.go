@@ -48,23 +48,55 @@ func refKernel(v *VDP, stores map[string]*relation.Relation, leafDeltas *delta.D
 
 // checkIncrementalEqualsRecompute drives leafDeltas through refKernel and
 // verifies that every non-leaf store equals from-scratch evaluation over
-// the new leaf states.
+// the new leaf states. It runs twice: first over copies whose stores carry
+// the plan's resident join indexes (the mediator's layout, see
+// declareJoinIndexes), then over the caller's leaf states with bare stores,
+// where every firing builds its indexes on the spot.
 func checkIncrementalEqualsRecompute(t *testing.T, v *VDP, leafStates map[string]*relation.Relation, leafDeltas *delta.Delta) {
 	t.Helper()
-	stores, err := v.EvalAll(ResolverFromCatalog(leafStates))
-	if err != nil {
-		t.Fatal(err)
+	copies := make(map[string]*relation.Relation, len(leafStates))
+	for name, rel := range leafStates {
+		copies[name] = rel.Clone()
 	}
-	if err := refKernel(v, stores, leafDeltas); err != nil {
-		t.Fatal(err)
+	for _, run := range []struct {
+		leaves   map[string]*relation.Relation
+		resident bool
+	}{{copies, true}, {leafStates, false}} {
+		stores, err := v.EvalAll(ResolverFromCatalog(run.leaves))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.resident {
+			declareJoinIndexes(t, v, stores)
+		}
+		if err := refKernel(v, stores, leafDeltas); err != nil {
+			t.Fatal(err)
+		}
+		want, err := v.EvalAll(ResolverFromCatalog(stores)) // leaves already updated in stores
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range v.NonLeaves() {
+			if !stores[name].Equal(want[name]) {
+				t.Errorf("node %s (resident indexes: %v): incremental != recompute\nincremental:\n%swant:\n%s",
+					name, run.resident, stores[name], want[name])
+			}
+			if err := stores[name].CheckIndexes(); err != nil {
+				t.Errorf("after the kernel run: %v", err)
+			}
+		}
 	}
-	want, err := v.EvalAll(ResolverFromCatalog(stores)) // leaves already updated in stores
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+// declareJoinIndexes gives every store the join indexes the plan's rules
+// probe it on, as the mediator does where a relation enters its store.
+func declareJoinIndexes(t testing.TB, v *VDP, stores map[string]*relation.Relation) {
+	t.Helper()
 	for _, name := range v.NonLeaves() {
-		if !stores[name].Equal(want[name]) {
-			t.Errorf("node %s: incremental != recompute\nincremental:\n%swant:\n%s", name, stores[name], want[name])
+		for _, attrs := range v.JoinIndexes(name) {
+			if err := stores[name].EnsureIndex(attrs...); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"squirrel/internal/algebra"
 	"squirrel/internal/relation"
@@ -102,6 +103,12 @@ type VDP struct {
 	parents  map[string][]string // node -> parents (sorted)
 	children map[string][]string // node -> distinct children (sorted)
 	relevant map[string]bool     // see MaterializationRelevant
+	plans    map[string]*spjPlan // SPJ node -> firing plan (spjplan.go)
+	indexes  map[string][][]string
+
+	// Sibling rows read by rule firings (JoinRowCounts): observability
+	// only, the one mutable part of an otherwise immutable plan.
+	probedRows, scannedRows atomic.Int64
 }
 
 // New validates the given nodes and assembles a VDP.
@@ -143,6 +150,9 @@ func New(nodes ...*Node) (*VDP, error) {
 	}
 	v.computeStages()
 	v.computeRelevance()
+	if err := v.computePlans(); err != nil {
+		return nil, err
+	}
 	return v, nil
 }
 

@@ -149,6 +149,11 @@ func runCrashSoak(t *testing.T, seed int64, compactEvery, cycles int) {
 			lastGood = snapBytes(t, med)
 			lastGoodVersion = med.StoreVersion()
 		}
+		// The recovered store (checkpoint restore + replayed tail + catch-up)
+		// carries exactly the plan's join indexes, each agreeing with a scan.
+		if err := med.CheckJoinIndexes(); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
 
 		// The WAL directory stays bounded: recovery always retires the
 		// replayed log behind a fresh checkpoint.
