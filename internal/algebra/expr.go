@@ -115,12 +115,17 @@ func (a Arith) Eval(env Env) (relation.Value, error) {
 	if err != nil {
 		return relation.Null(), err
 	}
+	return arith(a.Op, l, r)
+}
+
+// arith applies op to two evaluated operands.
+func arith(op ArithOp, l, r relation.Value) (relation.Value, error) {
 	if !l.IsNumeric() || !r.IsNumeric() {
-		return relation.Null(), fmt.Errorf("algebra: arithmetic on non-numeric values %s %s %s", l, a.Op, r)
+		return relation.Null(), fmt.Errorf("algebra: arithmetic on non-numeric values %s %s %s", l, op, r)
 	}
 	if l.Kind() == relation.KindInt && r.Kind() == relation.KindInt {
 		x, y := l.AsInt(), r.AsInt()
-		switch a.Op {
+		switch op {
 		case OpAdd:
 			return relation.Int(x + y), nil
 		case OpSub:
@@ -135,7 +140,7 @@ func (a Arith) Eval(env Env) (relation.Value, error) {
 		}
 	}
 	x, y := l.AsFloat(), r.AsFloat()
-	switch a.Op {
+	switch op {
 	case OpAdd:
 		return relation.Float(x + y), nil
 	case OpSub:
@@ -148,7 +153,7 @@ func (a Arith) Eval(env Env) (relation.Value, error) {
 		}
 		return relation.Float(x / y), nil
 	}
-	return relation.Null(), fmt.Errorf("algebra: bad arithmetic op %v", a.Op)
+	return relation.Null(), fmt.Errorf("algebra: bad arithmetic op %v", op)
 }
 
 // CollectAttrs implements Expr.
@@ -208,29 +213,43 @@ func (c Cmp) Eval(env Env) (relation.Value, error) {
 	if err != nil {
 		return relation.Null(), err
 	}
-	if c.Op == OpEq || c.Op == OpNe {
-		eq := l.Equal(r)
-		if c.Op == OpNe {
-			eq = !eq
-		}
-		return relation.Bool(eq), nil
-	}
-	n, err := l.Compare(r)
+	ok, err := compare(c.Op, l, r)
 	if err != nil {
 		return relation.Null(), err
 	}
-	var out bool
-	switch c.Op {
-	case OpLt:
-		out = n < 0
-	case OpLe:
-		out = n <= 0
-	case OpGt:
-		out = n > 0
-	case OpGe:
-		out = n >= 0
+	return relation.Bool(ok), nil
+}
+
+// compare applies op to two evaluated operands. = and <> never fail
+// (values of incomparable kinds are unequal); the orderings do.
+func compare(op CmpOp, l, r relation.Value) (bool, error) {
+	if op == OpEq || op == OpNe {
+		return l.Equal(r) == (op == OpEq), nil
 	}
-	return relation.Bool(out), nil
+	n, err := l.Compare(r)
+	if err != nil {
+		return false, err
+	}
+	return op.holds(n), nil
+}
+
+// holds reports whether op accepts a three-way comparison result n.
+func (op CmpOp) holds(n int) bool {
+	switch op {
+	case OpEq:
+		return n == 0
+	case OpNe:
+		return n != 0
+	case OpLt:
+		return n < 0
+	case OpLe:
+		return n <= 0
+	case OpGt:
+		return n > 0
+	case OpGe:
+		return n >= 0
+	}
+	return false
 }
 
 // CollectAttrs implements Expr.
@@ -421,8 +440,10 @@ func Attrs(e Expr) map[string]bool {
 	return set
 }
 
-// EvalPred evaluates e as a predicate over (schema, tuple). A nil
-// predicate is true.
+// EvalPred evaluates e as a predicate over (schema, tuple) by walking the
+// expression tree, resolving attributes by name. A nil predicate is true.
+// It is the reference semantics: production code runs Compile, and tests
+// hold Compile to EvalPred.
 func EvalPred(e Expr, schema *relation.Schema, tuple relation.Tuple) (bool, error) {
 	if e == nil {
 		return true, nil

@@ -60,10 +60,11 @@ func EvalJoin(l, r *relation.Relation, cond Expr, outName string) (*relation.Rel
 	}
 	out := relation.NewBag(outSchema)
 	pairs, residual := splitJoinCondition(cond, l.Schema(), r.Schema())
+	pred := Compile(residual, outSchema)
 
 	emit := func(lt relation.Tuple, ln int, rt relation.Tuple, rn int) error {
 		joined := lt.Concat(rt)
-		ok, err := EvalPred(residual, outSchema, joined)
+		ok, err := pred.Eval(joined)
 		if err != nil {
 			return err
 		}
@@ -153,20 +154,8 @@ func JoinChain(rels []*relation.Relation, cond Expr, outName string) (*relation.
 	if len(rels) == 1 {
 		// Apply the condition as a selection.
 		out := relation.NewBag(rels[0].Schema().Rename(outName))
-		var evalErr error
-		rels[0].Each(func(t relation.Tuple, n int) bool {
-			ok, err := EvalPred(cond, rels[0].Schema(), t)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if ok {
-				out.Add(t, n)
-			}
-			return true
-		})
-		if evalErr != nil {
-			return nil, evalErr
+		if err := relation.ProjectSelectInto(out, rels[0], nil, Compile(cond, rels[0].Schema())); err != nil {
+			return nil, err
 		}
 		return out, nil
 	}

@@ -65,20 +65,8 @@ func (s Select) Eval(cat Catalog) (*relation.Relation, error) {
 		return nil, err
 	}
 	out := relation.NewBag(in.Schema())
-	var evalErr error
-	in.Each(func(t relation.Tuple, n int) bool {
-		ok, err := EvalPred(s.Pred, in.Schema(), t)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if ok {
-			out.Add(t, n)
-		}
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
+	if err := relation.ProjectSelectInto(out, in, nil, Compile(s.Pred, in.Schema())); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -136,6 +136,35 @@ func (e *testEnv) groundTruth(t testing.TB) map[string]*relation.Relation {
 	return states
 }
 
+// projectSelectLocal computes the expected answer π_attrs σ_cond rel
+// tuple by tuple through the reference interpreter (algebra.EvalPred), so
+// the tests that compare against it also check the compiled kernel the
+// mediator answers with.
+func projectSelectLocal(rel *relation.Relation, name string, attrs []string, cond algebra.Expr) (*relation.Relation, error) {
+	if attrs == nil {
+		attrs = rel.Schema().AttrNames()
+	}
+	schema, err := rel.Schema().Project(name, attrs)
+	if err != nil {
+		return nil, err
+	}
+	positions, err := rel.Schema().Positions(attrs)
+	if err != nil {
+		return nil, err
+	}
+	out := relation.NewBag(schema)
+	for _, row := range rel.Rows() {
+		ok, err := algebra.EvalPred(cond, rel.Schema(), row.Tuple)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out.Add(row.Tuple.Project(positions), row.Count)
+		}
+	}
+	return out, nil
+}
+
 func TestInitializePopulatesStores(t *testing.T) {
 	e := newEnv(t, nil, nil, nil)
 	truth := e.groundTruth(t)

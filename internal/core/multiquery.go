@@ -143,13 +143,15 @@ func (m *Mediator) queryExprOnce(expr algebra.RelExpr, opts QueryOptions) (*Quer
 	for _, name := range exports {
 		m.obs.noteQuery(name, pv.Node(name).Schema.AttrNames())
 	}
-	m.recorder.RecordQuery(trace.QueryTxn{
-		Committed: committed,
-		Reflect:   reflect.Clone(),
-		Multi:     expr,
-		Answer:    answer.Clone(),
-		Polled:    res.polls,
-	})
+	if m.recorder != nil {
+		m.recorder.RecordQuery(trace.QueryTxn{
+			Committed: committed,
+			Reflect:   reflect.Clone(),
+			Multi:     expr,
+			Answer:    answer.Clone(),
+			Polled:    res.polls,
+		})
+	}
 	return &QueryResult{
 		Answer:    answer,
 		Reflect:   reflect,

@@ -196,9 +196,7 @@ func (m *Mediator) applyStageDelta(w *stageNode, temps *tempResult) error {
 	if w.postTemp != nil {
 		toApply := w.dn
 		if cond := temps.conds[w.name]; !algebra.IsTrue(cond) {
-			filtered, err := w.dn.Select(func(t relation.Tuple) (bool, error) {
-				return algebra.EvalPred(cond, w.node.Schema, t)
-			})
+			filtered, err := w.dn.Select(algebra.Compile(cond, w.node.Schema))
 			if err != nil {
 				return err
 			}

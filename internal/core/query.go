@@ -234,7 +234,7 @@ func (m *Mediator) queryOnce(export string, attrs []string, cond algebra.Expr, o
 		if m.planFor(v.Seq()) != ep {
 			return nil, false, nil // epoch swapped underneath; retry
 		}
-		answer, err = projectSelectLocal(v.Rel(export), export, attrs, cond)
+		answer, err = algebra.SelectProject(v.Rel(export), export, attrs, cond)
 		if err != nil {
 			return nil, false, err
 		}
@@ -323,16 +323,18 @@ func (m *Mediator) queryOnce(export string, attrs []string, cond algebra.Expr, o
 	if age := committed - v.Stamp(); age >= 0 {
 		m.obs.versionAge.Observe(float64(age))
 	}
-	m.recorder.RecordQuery(trace.QueryTxn{
-		Committed: committed,
-		Reflect:   reflect.Clone(),
-		Export:    export,
-		Attrs:     append([]string(nil), attrs...),
-		Cond:      cond,
-		Answer:    answer.Clone(),
-		Polled:    polls,
-		KeyBased:  usedKeyBased,
-	})
+	if m.recorder != nil {
+		m.recorder.RecordQuery(trace.QueryTxn{
+			Committed: committed,
+			Reflect:   reflect.Clone(),
+			Export:    export,
+			Attrs:     append([]string(nil), attrs...),
+			Cond:      cond,
+			Answer:    answer.Clone(),
+			Polled:    polls,
+			KeyBased:  usedKeyBased,
+		})
+	}
 	return &QueryResult{
 		Answer:    answer,
 		Reflect:   reflect,
@@ -364,7 +366,7 @@ func (m *Mediator) standardAnswer(ep *planEpoch, v *store.Version, req vdp.Requi
 	}
 	// The temporary may be a superset (merged conditions and closure
 	// attributes); re-apply the condition and project to the caller's list.
-	answer, err := projectSelectLocal(top, req.Rel, attrs, req.Cond)
+	answer, err := algebra.SelectProject(top, req.Rel, attrs, req.Cond)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -394,13 +396,13 @@ func (m *Mediator) keyBasedAnswer(ep *planEpoch, v *store.Version, req vdp.Requi
 		}
 	} else {
 		var err error
-		childRel, err = projectSelectLocal(v.Rel(kb.ChildReq.Rel), kb.ChildReq.Rel,
+		childRel, err = algebra.SelectProject(v.Rel(kb.ChildReq.Rel), kb.ChildReq.Rel,
 			kb.ChildReq.AttrList(ep.v), kb.ChildReq.Cond)
 		if err != nil {
 			return nil, nil, err
 		}
 	}
-	storePart, err := projectSelectLocal(v.Rel(kb.Node), kb.Node, kb.StoreAttrs, nil)
+	storePart, err := algebra.SelectProject(v.Rel(kb.Node), kb.Node, kb.StoreAttrs, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -408,7 +410,7 @@ func (m *Mediator) keyBasedAnswer(ep *planEpoch, v *store.Version, req vdp.Requi
 	if err != nil {
 		return nil, nil, err
 	}
-	answer, err := projectSelectLocal(joined, kb.Node, attrs, req.Cond)
+	answer, err := algebra.SelectProject(joined, kb.Node, attrs, req.Cond)
 	if err != nil {
 		return nil, nil, err
 	}

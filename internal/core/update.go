@@ -353,9 +353,7 @@ func (m *Mediator) kernel(b *store.Builder, combined *delta.Delta, temps *tempRe
 		if temp, ok := tempRels[name]; ok {
 			toApply := dn
 			if cond := temps.conds[name]; !algebra.IsTrue(cond) {
-				filtered, err := dn.Select(func(t relation.Tuple) (bool, error) {
-					return algebra.EvalPred(cond, n.Schema, t)
-				})
+				filtered, err := dn.Select(algebra.Compile(cond, n.Schema))
 				if err != nil {
 					return nil, err
 				}

@@ -264,9 +264,7 @@ func (m *Mediator) compensate(answer *relation.Relation, src string, spec vdp.Po
 	}
 	// Selection and projection commute with apply (§6.2), so transform the
 	// pending delta exactly as the source transformed the data.
-	selected, err := pending.Select(func(t relation.Tuple) (bool, error) {
-		return algebra.EvalPred(spec.Cond, leafSchema, t)
-	})
+	selected, err := pending.Select(algebra.Compile(spec.Cond, leafSchema))
 	if err != nil {
 		return err
 	}
@@ -304,38 +302,5 @@ func leafParentTemp(v *vdp.VDP, req vdp.Requirement, spec vdp.PollSpec, answer *
 		out.Add(t.Project(positions), c)
 		return true
 	})
-	return out, nil
-}
-
-// projectSelectLocal computes π_attrs σ_cond over a materialized relation
-// (used by the QP fast path and for final answers over temporaries).
-func projectSelectLocal(rel *relation.Relation, name string, attrs []string, cond algebra.Expr) (*relation.Relation, error) {
-	if attrs == nil {
-		attrs = rel.Schema().AttrNames()
-	}
-	schema, err := rel.Schema().Project(name, attrs)
-	if err != nil {
-		return nil, err
-	}
-	positions, err := rel.Schema().Positions(attrs)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.NewBag(schema)
-	var evalErr error
-	rel.Each(func(t relation.Tuple, c int) bool {
-		ok, err := algebra.EvalPred(cond, rel.Schema(), t)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if ok {
-			out.Add(t.Project(positions), c)
-		}
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
 	return out, nil
 }

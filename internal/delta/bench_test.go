@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/relation"
 )
 
@@ -103,7 +104,9 @@ func BenchmarkDeltaProject(b *testing.B) {
 func BenchmarkDeltaSelect(b *testing.B) {
 	forEachBackendB(b, func(b *testing.B, bk relation.Backend) {
 		d := benchDelta(bk, 8192, 1<<16, 6)
-		pred := func(t relation.Tuple) (bool, error) { return t[2].AsInt() < 500, nil }
+		schema := relation.MustSchema("B", []relation.Attribute{{Name: "k", Type: relation.KindInt},
+			{Name: "s", Type: relation.KindString}, {Name: "x", Type: relation.KindInt}, {Name: "y", Type: relation.KindInt}})
+		pred := algebra.Compile(algebra.Lt(algebra.A("x"), algebra.CInt(500)), schema)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

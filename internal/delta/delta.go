@@ -390,19 +390,18 @@ func (d *RelDelta) Project(newRel string, positions []int) *RelDelta {
 
 // Select returns a new delta containing only the atoms whose tuples
 // satisfy pred. Selection commutes with apply. On the columnar backend
-// the tuple handed to pred is a scratch buffer reused between calls —
-// predicates must not retain it.
-func (d *RelDelta) Select(pred func(relation.Tuple) (bool, error)) (*RelDelta, error) {
+// pred reads the delta's columns in place and kept atoms move
+// column-to-column.
+func (d *RelDelta) Select(pred relation.Predicate) (*RelDelta, error) {
 	if d.blocks() {
 		out := &RelDelta{rel: d.rel}
 		if d.tm == nil {
 			return out, nil
 		}
-		var scratch relation.Tuple
+		test := pred.Bind(d.tm)
 		var err error
 		d.tm.EachSlot(func(s int32, n int64) bool {
-			scratch = d.tm.AppendTupleAt(scratch[:0], s)
-			ok, e := pred(scratch)
+			ok, e := test(s)
 			if e != nil {
 				err = e
 				return false
@@ -419,7 +418,7 @@ func (d *RelDelta) Select(pred func(relation.Tuple) (bool, error)) (*RelDelta, e
 	}
 	out := NewRelWith(d.rel, relation.Rows)
 	for _, e := range d.entries {
-		ok, err := pred(e.tuple)
+		ok, err := pred.Eval(e.tuple)
 		if err != nil {
 			return nil, err
 		}

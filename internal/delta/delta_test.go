@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/relation"
 )
 
@@ -142,7 +143,7 @@ func inverseOfSmashLaw(t *testing.T, rng *rand.Rand) bool {
 // π/σ(apply(R,Δ)) == apply(π/σ(R), π/σ(Δ))
 func selectProjectCommuteLaw(t *testing.T, rng *rand.Rand) bool {
 	s := schemaR(t)
-	pred := func(tp relation.Tuple) (bool, error) { return tp[1].AsInt() < 3, nil }
+	pred := algebra.Compile(algebra.Lt(algebra.A("b"), algebra.CInt(3)), s)
 	db := randBag(rng, s, 10)
 	d := randDelta(rng, "R", 8)
 
@@ -151,7 +152,7 @@ func selectProjectCommuteLaw(t *testing.T, rng *rand.Rand) bool {
 	d.ApplyTo(applied, false)
 	leftSel := relation.NewBag(s)
 	applied.Each(func(tp relation.Tuple, n int) bool {
-		if ok, _ := pred(tp); ok {
+		if ok, _ := pred.Eval(tp); ok {
 			leftSel.Add(tp, n)
 		}
 		return true
@@ -164,7 +165,7 @@ func selectProjectCommuteLaw(t *testing.T, rng *rand.Rand) bool {
 	}
 	rightSel := relation.NewBag(s)
 	db.Each(func(tp relation.Tuple, n int) bool {
-		if ok, _ := pred(tp); ok {
+		if ok, _ := pred.Eval(tp); ok {
 			rightSel.Add(tp, n)
 		}
 		return true
@@ -236,7 +237,7 @@ func TestDeltaLaws(t *testing.T) {
 // deterministic renders at every step, including through smash, inverse,
 // project, select, and distinct.
 func TestDeltaCrossBackendEquivalence(t *testing.T) {
-	pred := func(tp relation.Tuple) (bool, error) { return tp[1].AsInt() < 3, nil }
+	pred := algebra.Compile(algebra.Lt(algebra.A("b"), algebra.CInt(3)), schemaR(t))
 	for seed := int64(0); seed < 10; seed++ {
 		rngA := rand.New(rand.NewSource(seed))
 		rngB := rand.New(rand.NewSource(seed))

@@ -12,32 +12,5 @@ func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // projectTruth applies π_attrs σ_cond to a ground-truth relation,
 // mirroring the QP's answer construction (bag projection).
 func projectTruth(truth *relation.Relation, attrs []string, cond algebra.Expr) (*relation.Relation, error) {
-	if attrs == nil {
-		attrs = truth.Schema().AttrNames()
-	}
-	schema, err := truth.Schema().Project(truth.Schema().Name(), attrs)
-	if err != nil {
-		return nil, err
-	}
-	positions, err := truth.Schema().Positions(attrs)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.NewBag(schema)
-	var evalErr error
-	truth.Each(func(t relation.Tuple, c int) bool {
-		ok, err := algebra.EvalPred(cond, truth.Schema(), t)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if ok {
-			out.Add(t.Project(positions), c)
-		}
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return out, nil
+	return algebra.SelectProject(truth, truth.Schema().Name(), attrs, cond)
 }

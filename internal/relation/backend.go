@@ -95,38 +95,55 @@ func CopyInto(dst, src *Relation) {
 	})
 }
 
+// Predicate is a compiled selection condition (algebra.Compile builds
+// them). Bind specializes it to m's current column representations and
+// returns a test over m's live slots, valid until m is next mutated; Eval
+// tests a materialized tuple. Both give the same answer for the same row.
+type Predicate interface {
+	Bind(m *TupleMap) func(slot int32) (bool, error)
+	Eval(t Tuple) (bool, error)
+}
+
 // ProjectSelectInto evaluates a select-project block from src into dst:
 // rows passing pred (nil selects everything) are projected onto positions
-// and added to dst. On the vectorized path the tuple handed to pred is a
-// scratch buffer reused between calls — predicates must not retain it.
-// len(positions) must equal dst's arity.
-func ProjectSelectInto(dst, src *Relation, positions []int, pred func(t Tuple) (bool, error)) error {
+// (nil keeps every column) and added to dst. When both relations are
+// block-backed no tuple is built: pred reads src's columns in place and
+// passing rows move column-to-column. The first error pred reports stops
+// the scan and is returned.
+func ProjectSelectInto(dst, src *Relation, positions []int, pred Predicate) error {
 	if dst.tm != nil && src.tm != nil {
+		var test func(int32) (bool, error)
+		if pred != nil {
+			test = pred.Bind(src.tm)
+		}
 		mode := dst.addMode()
-		var scratch Tuple
-		var err error
-		src.tm.EachSlot(func(s int32, n int64) bool {
-			if pred != nil {
-				scratch = src.tm.AppendTupleAt(scratch[:0], s)
-				ok, e := pred(scratch)
-				if e != nil {
-					err = e
-					return false
+		for s, n := range src.tm.counts {
+			if n == 0 {
+				continue
+			}
+			if test != nil {
+				ok, err := test(int32(s))
+				if err != nil {
+					return err
 				}
 				if !ok {
-					return true
+					continue
 				}
 			}
-			a, _ := dst.tm.AddFromProjected(src.tm, s, positions, n, mode)
+			var a int64
+			if positions == nil {
+				a, _ = dst.tm.AddFrom(src.tm, int32(s), n, mode)
+			} else {
+				a, _ = dst.tm.AddFromProjected(src.tm, int32(s), positions, n, mode)
+			}
 			dst.card += int(a)
-			return true
-		})
-		return err
+		}
+		return nil
 	}
 	var err error
 	src.Each(func(t Tuple, n int) bool {
 		if pred != nil {
-			ok, e := pred(t)
+			ok, e := pred.Eval(t)
 			if e != nil {
 				err = e
 				return false
@@ -135,7 +152,10 @@ func ProjectSelectInto(dst, src *Relation, positions []int, pred func(t Tuple) (
 				return true
 			}
 		}
-		dst.Add(t.Project(positions), n)
+		if positions != nil {
+			t = t.Project(positions)
+		}
+		dst.Add(t, n)
 		return true
 	})
 	return err

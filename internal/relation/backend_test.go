@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -245,38 +244,6 @@ func TestAddFromProjected(t *testing.T) {
 	}
 }
 
-// TestInternerConcurrent exercises lock-free readers racing writers; run
-// under -race in CI.
-func TestInternerConcurrent(t *testing.T) {
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	syms := make([][]Sym, 4)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			<-start
-			for i := 0; i < 500; i++ {
-				y := Intern(fmt.Sprintf("conc-%d", i%97))
-				syms[g] = append(syms[g], y)
-				if got := SymStr(y); got != fmt.Sprintf("conc-%d", i%97) {
-					t.Errorf("SymStr(%d) = %q", y, got)
-					return
-				}
-			}
-		}(g)
-	}
-	close(start)
-	wg.Wait()
-	for g := 1; g < 4; g++ {
-		for i := range syms[0] {
-			if syms[g][i] != syms[0][i] {
-				t.Fatalf("interning not stable across goroutines")
-			}
-		}
-	}
-}
-
 // TestCopyIntoAndProjectSelectInto checks the vectorized bulk helpers
 // against the scalar path on both backends.
 func TestCopyIntoAndProjectSelectInto(t *testing.T) {
@@ -296,9 +263,9 @@ func TestCopyIntoAndProjectSelectInto(t *testing.T) {
 		}
 
 		out := NewWith(proj, Bag, bk)
-		err := ProjectSelectInto(out, src, []int{1}, func(tp Tuple) (bool, error) {
+		err := ProjectSelectInto(out, src, []int{1}, predFunc(func(tp Tuple) (bool, error) {
 			return tp[0].AsInt() != 2, nil
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,10 +277,20 @@ func TestCopyIntoAndProjectSelectInto(t *testing.T) {
 		// Error propagation stops the scan.
 		errOut := NewWith(proj, Bag, bk)
 		wantErr := fmt.Errorf("boom")
-		if err := ProjectSelectInto(errOut, src, []int{1}, func(Tuple) (bool, error) {
+		if err := ProjectSelectInto(errOut, src, []int{1}, predFunc(func(Tuple) (bool, error) {
 			return false, wantErr
-		}); err != wantErr {
+		})); err != wantErr {
 			t.Errorf("%s: error not propagated: %v", bk, err)
 		}
 	}
+}
+
+// predFunc adapts a tuple test to Predicate (algebra.Compile cannot be
+// imported here); its bound form materializes the slot's tuple.
+type predFunc func(Tuple) (bool, error)
+
+func (f predFunc) Eval(t Tuple) (bool, error) { return f(t) }
+
+func (f predFunc) Bind(m *TupleMap) func(int32) (bool, error) {
+	return func(s int32) (bool, error) { return f(m.AppendTupleAt(nil, s)) }
 }

@@ -1,25 +1,23 @@
 package relation
 
-// A column is one attribute's value vector inside a TupleMap: type
-// specialized when every value seen so far shares one kind (the common
-// case — schemas are typed), with a generic Value fallback for mixed,
-// boolean, or null data. Specialization is adaptive: the first appended
-// value picks the representation and a later mismatching value demotes
-// the column to generic, converting in place, so correctness never
-// depends on the declared schema being honest.
+// A column is one attribute's value vector inside a TupleMap: unboxed
+// int64 or float64 when every value it holds is an int or every value is a
+// float (the common case — schemas are typed), with a generic Value
+// fallback for strings, booleans, nulls and mixed data. Specialization is
+// adaptive: the first value stored picks the representation and a later
+// mismatching value demotes the column to generic, converting in place,
+// so correctness never depends on the declared schema being honest.
 type column struct {
 	tag    uint8
 	ints   []int64   // colInt
 	floats []float64 // colFloat
-	syms   []Sym     // colSym (interned strings)
 	vals   []Value   // colGeneric
 }
 
 const (
-	colEmpty uint8 = iota
+	colEmpty uint8 = iota // no value stored yet: no representation chosen
 	colInt
 	colFloat
-	colSym
 	colGeneric
 )
 
@@ -30,9 +28,7 @@ func tagFor(k Kind) uint8 {
 		return colInt
 	case KindFloat:
 		return colFloat
-	case KindString:
-		return colSym
-	default: // bool, null
+	default: // string, bool, null
 		return colGeneric
 	}
 }
@@ -44,8 +40,6 @@ func (c *column) length() int {
 		return len(c.ints)
 	case colFloat:
 		return len(c.floats)
-	case colSym:
-		return len(c.syms)
 	case colGeneric:
 		return len(c.vals)
 	}
@@ -63,40 +57,35 @@ func (c *column) demote() {
 		vals[i] = c.valueAt(i)
 	}
 	c.vals = vals
-	c.ints, c.floats, c.syms = nil, nil, nil
+	c.ints, c.floats = nil, nil
 	c.tag = colGeneric
 }
 
-// grow appends one zero slot and returns its index.
-func (c *column) grow() int {
+// grow appends one zero slot. An empty column stays empty: its slots
+// appear when set stores the first value and picks the representation.
+func (c *column) grow() {
 	switch c.tag {
 	case colInt:
 		c.ints = append(c.ints, 0)
-		return len(c.ints) - 1
 	case colFloat:
 		c.floats = append(c.floats, 0)
-		return len(c.floats) - 1
-	case colSym:
-		c.syms = append(c.syms, 0)
-		return len(c.syms) - 1
-	default:
-		if c.tag == colEmpty {
-			c.tag = colGeneric
-		}
+	case colGeneric:
 		c.vals = append(c.vals, Value{})
-		return len(c.vals) - 1
 	}
 }
 
 // set stores v at slot i, demoting the column if v's kind does not match
-// the specialization. Slot i must exist (grow first for appends).
+// the specialization. Slot i must exist (grow first for appends), except
+// on an empty column, where the first value picks the representation and
+// the slots up to i are created.
 func (c *column) set(i int, v Value) {
-	if c.tag == colEmpty {
-		// First value after construction at a pre-grown slot cannot
-		// happen: grow() resolves colEmpty to colGeneric. Defensive only.
-		c.tag = colGeneric
-	}
 	want := tagFor(v.kind)
+	if c.tag == colEmpty {
+		c.tag = want
+		for c.length() <= i {
+			c.grow()
+		}
+	}
 	if c.tag != want && c.tag != colGeneric {
 		c.demote()
 	}
@@ -105,44 +94,18 @@ func (c *column) set(i int, v Value) {
 		c.ints[i] = v.i
 	case colFloat:
 		c.floats[i] = v.f
-	case colSym:
-		c.syms[i] = Intern(v.s)
 	default:
 		c.vals[i] = v
 	}
 }
 
-// appendValue appends v, choosing the specialization on first append.
-func (c *column) appendValue(v Value) {
-	if c.tag == colEmpty {
-		c.tag = tagFor(v.kind)
-	}
-	want := tagFor(v.kind)
-	if c.tag != want && c.tag != colGeneric {
-		c.demote()
-	}
-	switch c.tag {
-	case colInt:
-		c.ints = append(c.ints, v.i)
-	case colFloat:
-		c.floats = append(c.floats, v.f)
-	case colSym:
-		c.syms = append(c.syms, Intern(v.s))
-	default:
-		c.vals = append(c.vals, v)
-	}
-}
-
-// valueAt materializes the value stored at slot i. Allocation free: the
-// interned string header is shared, not copied.
+// valueAt materializes the value stored at slot i (allocation free).
 func (c *column) valueAt(i int) Value {
 	switch c.tag {
 	case colInt:
 		return Value{kind: KindInt, i: c.ints[i]}
 	case colFloat:
 		return Value{kind: KindFloat, f: c.floats[i]}
-	case colSym:
-		return Value{kind: KindString, s: SymStr(c.syms[i])}
 	default:
 		return c.vals[i]
 	}
@@ -174,8 +137,6 @@ func (c *column) keyEqualAt(i int, v Value) bool {
 			return int64(f) == v.i && floatKeyEqual(c.floats[i], f)
 		}
 		return false
-	case colSym:
-		return v.kind == KindString && SymStr(c.syms[i]) == v.s
 	default:
 		return valueKeyEqual(c.vals[i], v)
 	}
@@ -189,9 +150,6 @@ func (c *column) appendKeyAt(b []byte, i int) []byte {
 		return Value{kind: KindInt, i: c.ints[i]}.appendKey(b)
 	case colFloat:
 		return appendFloatKey(b, c.floats[i])
-	case colSym:
-		v := Value{kind: KindString, s: SymStr(c.syms[i])}
-		return v.appendKey(b)
 	default:
 		return c.vals[i].appendKey(b)
 	}
@@ -199,7 +157,7 @@ func (c *column) appendKeyAt(b []byte, i int) []byte {
 
 // setFromCol stores src's slot j into this column's slot i, copying the
 // typed payload directly when the specializations agree (the vectorized
-// path smash/apply use; symbols copy as integers, no string bytes move).
+// path smash/apply use).
 func (c *column) setFromCol(i int, src *column, j int) {
 	if c.tag == src.tag {
 		switch c.tag {
@@ -208,9 +166,6 @@ func (c *column) setFromCol(i int, src *column, j int) {
 			return
 		case colFloat:
 			c.floats[i] = src.floats[j]
-			return
-		case colSym:
-			c.syms[i] = src.syms[j]
 			return
 		case colGeneric:
 			c.vals[i] = src.vals[j]
@@ -230,8 +185,6 @@ func (c *column) colEqualAt(i int, src *column, j int) bool {
 			return c.ints[i] == src.ints[j]
 		case colFloat:
 			return floatKeyEqual(c.floats[i], src.floats[j])
-		case colSym:
-			return c.syms[i] == src.syms[j]
 		}
 	}
 	return c.keyEqualAt(i, src.valueAt(j))
@@ -246,8 +199,6 @@ func (c *column) clone() column {
 		out.ints = append([]int64(nil), c.ints...)
 	case colFloat:
 		out.floats = append([]float64(nil), c.floats...)
-	case colSym:
-		out.syms = append([]Sym(nil), c.syms...)
 	case colGeneric:
 		out.vals = append([]Value(nil), c.vals...)
 	}
@@ -256,16 +207,11 @@ func (c *column) clone() column {
 
 // payloadBytes estimates the resident payload of slot i using the same
 // accounting MemoryFootprint has always used (24 bytes per value plus
-// string bytes), so backend choice does not change advisor arithmetic.
+// string bytes), so the representation does not change advisor
+// arithmetic.
 func (c *column) payloadBytes(i int) int {
-	total := 24
-	switch c.tag {
-	case colSym:
-		total += len(SymStr(c.syms[i]))
-	case colGeneric:
-		if v := c.vals[i]; v.kind == KindString {
-			total += len(v.s)
-		}
+	if c.tag == colGeneric && c.vals[i].kind == KindString {
+		return 24 + len(c.vals[i].s)
 	}
-	return total
+	return 24
 }

@@ -84,6 +84,19 @@ func (m *TupleMap) ValueAt(slot int32, col int) Value {
 	return m.cols[col].valueAt(int(slot))
 }
 
+// IntColumn returns column col's vector, indexed by slot, when the column
+// holds unboxed ints (dead slots hold stale values). Read-only.
+func (m *TupleMap) IntColumn(col int) ([]int64, bool) {
+	c := &m.cols[col]
+	return c.ints, c.tag == colInt
+}
+
+// FloatColumn is IntColumn for a column of unboxed floats.
+func (m *TupleMap) FloatColumn(col int) ([]float64, bool) {
+	c := &m.cols[col]
+	return c.floats, c.tag == colFloat
+}
+
 // AppendTupleAt appends the tuple at a live slot to dst and returns it —
 // the materialization primitive Each builds on.
 func (m *TupleMap) AppendTupleAt(dst Tuple, slot int32) Tuple {
@@ -401,6 +414,8 @@ func (m *TupleMap) Clone() *TupleMap {
 }
 
 // Clear removes every entry, retaining capacity and index definitions.
+// Columns forget their representation: the next value stored picks it
+// afresh.
 func (m *TupleMap) Clear() {
 	for i := range m.table {
 		m.table[i] = 0
@@ -411,9 +426,9 @@ func (m *TupleMap) Clear() {
 	m.live, m.used = 0, 0
 	for c := range m.cols {
 		cc := &m.cols[c]
+		cc.tag = colEmpty
 		cc.ints = cc.ints[:0]
 		cc.floats = cc.floats[:0]
-		cc.syms = cc.syms[:0]
 		cc.vals = cc.vals[:0]
 	}
 	for _, ix := range m.indexes {

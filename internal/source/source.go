@@ -318,35 +318,7 @@ func EvalSpec(r *relation.Relation, spec QuerySpec) (*relation.Relation, error) 
 }
 
 func evalSpec(r *relation.Relation, spec QuerySpec) (*relation.Relation, error) {
-	attrs := spec.Attrs
-	if attrs == nil {
-		attrs = r.Schema().AttrNames()
-	}
-	schema, err := r.Schema().Project(r.Schema().Name(), attrs)
-	if err != nil {
-		return nil, err
-	}
-	positions, err := r.Schema().Positions(attrs)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(schema, relation.Bag)
-	var evalErr error
-	r.Each(func(t relation.Tuple, n int) bool {
-		ok, err := algebra.EvalPred(spec.Cond, r.Schema(), t)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if ok {
-			out.Add(t.Project(positions), n)
-		}
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return out, nil
+	return algebra.SelectProject(r, r.Schema().Name(), spec.Attrs, spec.Cond)
 }
 
 func (db *DB) lastCommitLocked() clock.Time {

@@ -61,27 +61,7 @@ func projectSelect(rel *relation.Relation, name string, proj []string, where alg
 		avail[a] = true
 	}
 	applicable, _ := algebra.ConjunctsOver(where, avail)
-	schema, err := rel.Schema().Project(name, proj)
-	if err != nil {
-		return nil, err
-	}
-	positions, err := rel.Schema().Positions(proj)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.NewBag(schema)
-	var pred func(relation.Tuple) (bool, error)
-	if !algebra.IsTrue(applicable) {
-		pred = func(t relation.Tuple) (bool, error) {
-			return algebra.EvalPred(applicable, rel.Schema(), t)
-		}
-	}
-	// Vectorized select-project: on the blocks backend rows move
-	// column-to-column and only predicate evaluation touches tuples.
-	if err := relation.ProjectSelectInto(out, rel, positions, pred); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return algebra.SelectProject(rel, name, proj, applicable)
 }
 
 // conform re-labels rel's tuples into the target schema positionally,

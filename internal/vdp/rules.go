@@ -144,9 +144,10 @@ func (v *VDP) propagateSPJ(n *Node, d SPJ, child string, childSchema *relation.S
 			return nil, err
 		}
 		enter := &f.operands[i]
+		where := algebra.Compile(in.Where, childSchema)
 		dc.Each(func(t relation.Tuple, c int) bool {
 			var ok bool
-			if ok, err = algebra.EvalPred(in.Where, childSchema, t); err != nil || !ok {
+			if ok, err = where.Eval(t); err != nil || !ok {
 				return err == nil
 			}
 			for k, p := range enter.positions {
@@ -173,10 +174,11 @@ func (v *VDP) propagateSPJ(n *Node, d SPJ, child string, childSchema *relation.S
 type spjFiring struct {
 	plan     *spjPlan
 	operands []spjOperand
-	steps    []int            // operand index per probe step
-	concat   *relation.Schema // the joined row's schema, inputs in definition order
-	row      relation.Tuple   // the joined row under construction
-	proj     []int            // row positions of the node's attributes
+	steps    []int              // operand index per probe step
+	concat   *relation.Schema   // the joined row's schema, inputs in definition order
+	residual relation.Predicate // the plan's residual condition over concat
+	row      relation.Tuple     // the joined row under construction
+	proj     []int              // row positions of the node's attributes
 	outRow   relation.Tuple
 	out      *delta.RelDelta
 
@@ -188,12 +190,13 @@ type spjFiring struct {
 type spjOperand struct {
 	ix        *relation.JoinIndex
 	resident  bool
-	schema    *relation.Schema // of the state behind ix
-	where     algebra.Expr     // the input's σ conjuncts evaluable on that state
-	positions []int            // π: state positions copied into the row
-	off       int              // where they land in the row
-	keyFrom   []int            // row positions forming the probe key
-	key, base relation.Tuple   // scratch
+	schema    *relation.Schema               // of the state behind ix
+	where     algebra.Expr                   // the input's σ conjuncts evaluable on that state
+	test      func(slot int32) (bool, error) // where, bound to ix's map
+	positions []int                          // π: state positions copied into the row
+	off       int                            // where they land in the row
+	keyFrom   []int                          // row positions forming the probe key
+	key       relation.Tuple                 // scratch
 }
 
 // bind resolves the firing for a delta entering at input enter. state
@@ -245,6 +248,7 @@ func (f *spjFiring) bind(n *Node, d SPJ, enter int, childSchema *relation.Schema
 	if f.proj, err = f.concat.Positions(d.Proj); err != nil {
 		return err
 	}
+	f.residual = algebra.Compile(f.plan.residual, f.concat)
 	f.row = make(relation.Tuple, len(attrs))
 	f.outRow = make(relation.Tuple, len(f.proj))
 	for _, st := range f.plan.firings[enter] {
@@ -263,6 +267,7 @@ func (f *spjFiring) bind(n *Node, d SPJ, enter int, childSchema *relation.Schema
 			op.ix = relation.NewJoinIndex(rel, cols)
 			f.scanned += int64(rel.Len())
 		}
+		op.test = algebra.Compile(op.where, op.schema).Bind(op.ix.Map())
 		op.key = make(relation.Tuple, len(cols))
 		f.steps = append(f.steps, st.input)
 	}
@@ -275,7 +280,7 @@ func (f *spjFiring) bind(n *Node, d SPJ, enter int, childSchema *relation.Schema
 // straight into the output delta.
 func (f *spjFiring) walk(k, count int) error {
 	if k == len(f.steps) {
-		ok, err := algebra.EvalPred(f.plan.residual, f.concat, f.row)
+		ok, err := f.residual.Eval(f.row)
 		if err != nil || !ok {
 			return err
 		}
@@ -294,14 +299,13 @@ func (f *spjFiring) walk(k, count int) error {
 		if op.resident {
 			f.probed++
 		}
-		op.base = tm.AppendTupleAt(op.base[:0], s)
-		if ok, err := algebra.EvalPred(op.where, op.schema, op.base); err != nil {
+		if ok, err := op.test(s); err != nil {
 			return err
 		} else if !ok {
 			continue
 		}
 		for i, p := range op.positions {
-			f.row[op.off+i] = op.base[p]
+			f.row[op.off+i] = tm.ValueAt(s, p)
 		}
 		if err := f.walk(k+1, count*int(tm.CountAt(s))); err != nil {
 			return err
@@ -343,23 +347,11 @@ func branchDeltaBag(n *Node, b Branch, childSchema *relation.Schema, dc *delta.R
 	if err != nil {
 		return nil, err
 	}
-	out := delta.NewRel(n.Name)
-	var evalErr error
-	dc.Each(func(t relation.Tuple, c int) bool {
-		ok, err := algebra.EvalPred(b.Where, childSchema, t)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if ok {
-			out.Add(t.Project(positions), c)
-		}
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
+	selected, err := dc.Select(algebra.Compile(b.Where, childSchema))
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return selected.Project(n.Name, positions), nil
 }
 
 // propagateDiff implements the difference rules of §5.2 with set
