@@ -49,7 +49,8 @@ func cmdServeMediator(args []string) error {
 	fs.Var(&views, "view", "view definition NAME=SQL (repeatable)")
 	fs.Var(&virtuals, "virtual", "virtual annotation NODE:attr,attr (repeatable)")
 	listen := fs.String("listen", "127.0.0.1:7080", "mediator listen address")
-	flush := fs.Duration("flush", 500*time.Millisecond, "update-transaction period (u_hold)")
+	flush := fs.Duration("flush", 500*time.Millisecond,
+		"longest an announcement may wait (u_hold); retry interval after a failed flush or quarantine")
 	state := fs.String("state", "", "snapshot file: restored on start if present, saved on shutdown")
 	walDir := fs.String("wal-dir", "",
 		"write-ahead delta log directory: commits are durable before they publish, and restart "+
@@ -70,11 +71,6 @@ func cmdServeMediator(args []string) error {
 		"staged-kernel worker pool for update propagation (0 = serial reference kernel)")
 	backendName := fs.String("relation-backend", "blocks",
 		"relation storage backend: blocks (columnar) or rows (boxed-tuple reference)")
-	gcWindow := fs.Duration("group-commit-window", 0,
-		"group-commit batching window: wake on announcement, absorb arrivals this long, "+
-			"drain in one coalesced transaction (0 = periodic -flush loop)")
-	gcMax := fs.Int("group-commit-max", 0,
-		"close a group-commit batch early once this many announcements are queued (0 = window only)")
 	exportAddr := fs.String("export-as-source", "",
 		"serve this mediator's fully materialized exports as an autonomous source on this "+
 			"address, so an upstream mediator can consume them with a plain -source "+
@@ -100,9 +96,6 @@ func cmdServeMediator(args []string) error {
 		return fmt.Errorf("bad -relation-backend: %w", err)
 	}
 	relation.SetDefaultBackend(backend)
-	if *gcWindow < 0 {
-		return fmt.Errorf("bad -group-commit-window %s (want >= 0)", *gcWindow)
-	}
 	resil := core.ResilienceConfig{
 		PollTimeout: *pollTimeout,
 		Retry:       resilience.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryBase},
@@ -312,12 +305,7 @@ func cmdServeMediator(args []string) error {
 			*exportName, ebound, strings.Join(x.Relations(), " "))
 	}
 
-	var rt *core.Runtime
-	if *gcWindow > 0 {
-		rt, err = core.NewBatchedRuntime(med, *gcWindow, *gcMax)
-	} else {
-		rt, err = core.NewRuntime(med, *flush)
-	}
+	rt, err := core.NewRuntime(med, *flush)
 	if err != nil {
 		return err
 	}
@@ -350,13 +338,8 @@ func cmdServeMediator(args []string) error {
 		return err
 	}
 	defer srv.Close()
-	if rt.Batched() {
-		fmt.Printf("\nmediator serving on %s (%s backend, group-commit window %s; ctrl-c to stop)\n",
-			bound, backend, *gcWindow)
-	} else {
-		fmt.Printf("\nmediator serving on %s (%s backend, flush every %s; ctrl-c to stop)\n",
-			bound, backend, *flush)
-	}
+	fmt.Printf("\nmediator serving on %s (%s backend, u_hold %s; ctrl-c to stop)\n",
+		bound, backend, *flush)
 	if *adapt {
 		fmt.Printf("adaptive annotation: advising every %s\n", *adaptInterval)
 	}

@@ -1,8 +1,8 @@
 // Command analytics shows the operational side of the framework: several
 // export relations over shared sources, multi-export queries (§6.3's
-// set-of-triples form), a background runtime draining the update queue on
-// a period (the u_hold policy), and a state snapshot a restarted process
-// would resume from.
+// set-of-triples form), a background runtime draining the update queue as
+// announcements arrive (the u_hold policy), and a state snapshot a
+// restarted process would resume from.
 package main
 
 import (

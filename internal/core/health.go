@@ -212,7 +212,8 @@ func (m *Mediator) QuarantineSource(src, reason string) {
 }
 
 // quarantineLocked requires qmu. The event log's mutex is a strict
-// leaf, so emitting under qmu is safe.
+// leaf, so emitting under qmu is safe. It raises the announce signal: the
+// runtime's next flush resyncs the source even if nothing else announces.
 func (m *Mediator) quarantineLocked(src, reason string) {
 	if m.quarantined[src] != "" {
 		return
@@ -220,6 +221,7 @@ func (m *Mediator) quarantineLocked(src, reason string) {
 	m.quarantined[src] = reason
 	m.stats.gapsDetected.Add(1)
 	m.obs.reg.Emit(metrics.Event{Type: metrics.EventQuarantine, Subject: src, Err: reason})
+	m.signalAnnounce()
 }
 
 // QuarantinedSources lists the currently quarantined sources, sorted.

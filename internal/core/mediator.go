@@ -299,10 +299,9 @@ type Mediator struct {
 	initialized    bool
 	queueHighWater int
 	// announceCh is the group-commit wakeup: a buffered-1 signal sent
-	// (non-blocking) whenever an announcement actually joins the queue,
-	// so a batched runtime can sleep until work arrives instead of
-	// polling on a period. Sends coalesce; receivers must re-check
-	// QueueLen.
+	// (non-blocking) whenever an announcement actually joins the queue or
+	// a source is quarantined, so the runtime sleeps until work arrives.
+	// Sends coalesce; receivers must re-check the queue.
 	announceCh chan struct{}
 	// Fault-boundary bookkeeping, also under qmu: the latest instant each
 	// source's state is known at, the last accepted announcement sequence
@@ -922,6 +921,11 @@ func (m *Mediator) OnAnnouncement(a source.Announcement) {
 		m.queueHighWater = len(m.queue)
 	}
 	m.obs.queueLen.Set(int64(len(m.queue)))
+	m.signalAnnounce()
+}
+
+// signalAnnounce raises the (coalescing) announce signal without blocking.
+func (m *Mediator) signalAnnounce() {
 	select {
 	case m.announceCh <- struct{}{}:
 	default:
@@ -929,8 +933,9 @@ func (m *Mediator) OnAnnouncement(a source.Announcement) {
 }
 
 // AnnounceSignal returns a channel that receives a (coalesced) signal
-// whenever an announcement joins the queue. Consumers must treat it as a
-// wakeup, not a count: re-check QueueLen after each receive.
+// whenever an announcement joins the queue or a source is quarantined —
+// whenever a flush has new work. Consumers must treat it as a wakeup, not
+// a count: re-check the queue after each receive.
 func (m *Mediator) AnnounceSignal() <-chan struct{} { return m.announceCh }
 
 // QueueLen reports the number of pending announcements.

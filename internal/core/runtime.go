@@ -8,36 +8,34 @@ import (
 	"squirrel/internal/metrics"
 )
 
-// Runtime drives a mediator's update transactions on a wall-clock period —
-// the u_hold_delay policy of §7 as a deployable component. Queries go
-// straight to the mediator (its transactions are internally serialized);
-// the runtime only owns the flush loop.
+// Runtime drives a mediator's update transactions — the u_hold_delay
+// policy of §7 as a deployable component. Queries go straight to the
+// mediator (its transactions are internally serialized); the runtime only
+// owns the flush loop.
+//
+// The loop is derived group commit: it sleeps on the mediator's announce
+// signal and, when idle, commits at once. Whatever arrives while a
+// transaction and its log sync run is the next batch, so batch size
+// follows load and nothing is configured. u_hold is an upper bound in
+// Theorem 7.2, never a wait before committing; here it only paces the
+// retries after a failed flush or while a source is quarantined.
 //
 // The loop's resync-then-drain ordering relies on the mediator's narrow
 // store mutex: an update transaction stuck polling a slow source holds
-// only txnMu, so a tick's ResyncSource calls proceed regardless, and the
+// only txnMu, so a flush's ResyncSource calls proceed regardless, and the
 // transaction detects their publishes at commit (via the builder's base
 // version) and retries rather than clobbering the resynced state.
 type Runtime struct {
-	med    *Mediator
-	period time.Duration
-
-	// Group-commit batching (NewBatchedRuntime): instead of a fixed
-	// period, the loop sleeps on the mediator's announce signal, then
-	// holds the transaction open for window (or until maxBatch
-	// announcements are queued) so one staged-kernel pass — one
-	// copy-on-write clone per touched node — amortizes every coalesced
-	// delta in the batch.
-	window   time.Duration
-	maxBatch int
+	med  *Mediator
+	hold time.Duration // u_hold bound: the retry interval
 
 	flushHist *metrics.Histogram
 
 	mu   sync.Mutex
 	stop chan struct{}
 	done chan struct{}
-	// lastErr is the loop's CURRENT error condition: set when a tick's
-	// resync or drain fails, cleared when a later tick drains the queue
+	// lastErr is the loop's CURRENT error condition: set when a flush's
+	// resync or drain fails, cleared when a later flush drains the queue
 	// with no failure at all — Err() reporting a long-recovered failure
 	// forever made health checks permanently red. History survives in
 	// lastFailure/errCount.
@@ -47,44 +45,33 @@ type Runtime struct {
 	flushes     int
 }
 
-// NewRuntime wraps a mediator with a periodic flush loop; call Start.
-func NewRuntime(med *Mediator, period time.Duration) (*Runtime, error) {
+// NewRuntime wraps a mediator with the group-commit flush loop; call
+// Start. hold is the u_hold bound: the longest a failed flush or a
+// quarantined source waits for its retry.
+func NewRuntime(med *Mediator, hold time.Duration) (*Runtime, error) {
 	if med == nil {
 		return nil, fmt.Errorf("core: runtime needs a mediator")
 	}
-	if period <= 0 {
-		return nil, fmt.Errorf("core: runtime period must be positive")
+	if hold <= 0 {
+		return nil, fmt.Errorf("core: runtime hold bound must be positive")
 	}
 	return &Runtime{
 		med:       med,
-		period:    period,
+		hold:      hold,
 		flushHist: med.obs.reg.Histogram(MetricFlushSeconds, metrics.DefLatencyBuckets),
 	}, nil
 }
 
-// NewBatchedRuntime wraps a mediator with an event-driven group-commit
-// loop: it wakes when an announcement arrives, absorbs further arrivals
-// for window (ending early once maxBatch announcements are queued;
-// maxBatch <= 0 means no early close), then drains the queue in one
-// coalesced update transaction. window = 0 degenerates to
-// commit-per-wakeup.
+// NewBatchedRuntime builds the same loop as NewRuntime, with window as
+// the hold bound (at least a millisecond); maxBatch is ignored.
+//
+// Deprecated: batching is derived from load; use NewRuntime.
 func NewBatchedRuntime(med *Mediator, window time.Duration, maxBatch int) (*Runtime, error) {
-	if med == nil {
-		return nil, fmt.Errorf("core: runtime needs a mediator")
-	}
 	if window < 0 {
 		return nil, fmt.Errorf("core: group-commit window must be non-negative")
 	}
-	return &Runtime{
-		med:       med,
-		window:    window,
-		maxBatch:  maxBatch,
-		flushHist: med.obs.reg.Histogram(MetricFlushSeconds, metrics.DefLatencyBuckets),
-	}, nil
+	return NewRuntime(med, max(window, time.Millisecond))
 }
-
-// Batched reports whether the runtime is in group-commit mode.
-func (r *Runtime) Batched() bool { return r.period == 0 }
 
 // Start launches the flush loop. It is an error to start a running
 // runtime.
@@ -96,66 +83,36 @@ func (r *Runtime) Start() error {
 	}
 	r.stop = make(chan struct{})
 	r.done = make(chan struct{})
-	if r.Batched() {
-		go r.loopBatched(r.stop, r.done)
-	} else {
-		go r.loop(r.stop, r.done)
-	}
+	go r.loop(r.stop, r.done)
 	return nil
 }
 
-// loopBatched is the group-commit loop: sleep on the announce signal,
-// hold for the batching window, drain once.
-func (r *Runtime) loopBatched(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	sig := r.med.AnnounceSignal()
-	for {
-		select {
-		case <-stop:
-			r.flushAll()
-			return
-		case <-sig:
-		}
-		if r.window > 0 && (r.maxBatch <= 0 || r.med.QueueLen() < r.maxBatch) {
-			timer := time.NewTimer(r.window)
-		collect:
-			for {
-				select {
-				case <-stop:
-					timer.Stop()
-					r.flushAll()
-					return
-				case <-sig:
-					if r.maxBatch > 0 && r.med.QueueLen() >= r.maxBatch {
-						break collect
-					}
-				case <-timer.C:
-					break collect
-				}
-			}
-			timer.Stop()
-		}
-		r.flushAll()
-	}
-}
-
+// loop sleeps on the announce signal and flushes on every wakeup. The
+// retry timer is armed only while a flush left work behind (a failure or
+// a quarantined source), and all it does is raise the signal again.
 func (r *Runtime) loop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
-	ticker := time.NewTicker(r.period)
-	defer ticker.Stop()
+	retry := time.AfterFunc(r.hold, r.med.signalAnnounce)
+	retry.Stop()
+	defer retry.Stop()
+	sig := r.med.AnnounceSignal()
 	for {
 		select {
 		case <-stop:
 			// Final drain so Stop leaves nothing queued.
 			r.flushAll()
 			return
-		case <-ticker.C:
-			r.flushAll()
+		case <-sig:
+		}
+		if r.flushAll() {
+			retry.Stop()
+		} else {
+			retry.Reset(r.hold)
 		}
 	}
 }
 
-// noteErr records a tick failure: it both latches the current condition
+// noteErr records a flush failure: it both latches the current condition
 // and appends to the history.
 func (r *Runtime) noteErr(err error) {
 	r.mu.Lock()
@@ -165,52 +122,49 @@ func (r *Runtime) noteErr(err error) {
 	r.mu.Unlock()
 }
 
-func (r *Runtime) flushAll() {
+// flushAll is one group commit: resync quarantined sources, run ONE
+// update transaction over everything queued, then sync the commit log
+// once — so under SyncBatch each drained batch is durable before the next
+// transaction starts. It reports whether the flush left nothing to retry:
+// no failure and no source still quarantined.
+func (r *Runtime) flushAll() bool {
 	start := time.Now()
 	clean := true
 	committed := 0
-	var tickErr error
+	var flushErr error
+	fail := func(err error) {
+		clean = false
+		flushErr = err
+		r.noteErr(err)
+	}
 	// Attempt to repair quarantined sources first: their penned
-	// announcements rejoin the queue on success, and the flush below
-	// then drains everything. A failed resync is retried next tick —
-	// unless it was overtaken by newer penned announcements
-	// (ErrResyncOvertaken), which retrying on the same cadence will
-	// never fix; the mediator's ResyncStuck health condition flags that
-	// case for the operator.
+	// announcements rejoin the queue on success, and the transaction
+	// below then drains everything. A failed resync is retried after the
+	// hold bound — unless it was overtaken by newer penned announcements
+	// (ErrResyncOvertaken), which retrying will never fix; the mediator's
+	// ResyncStuck health condition flags that case for the operator.
 	for _, src := range r.med.QuarantinedSources() {
 		if err := r.med.ResyncSource(src); err != nil {
-			clean = false
-			tickErr = err
-			r.noteErr(err)
+			fail(err)
 		}
 	}
-	for {
-		ran, err := r.med.RunUpdateTransaction()
-		if err != nil {
-			clean = false
-			tickErr = err
-			r.noteErr(err)
-			break
-		}
-		if !ran {
-			break
-		}
+	if ran, err := r.med.RunUpdateTransaction(); err != nil {
+		fail(err)
+	} else if ran {
 		committed++
 		r.mu.Lock()
 		r.flushes++
 		r.mu.Unlock()
 	}
 	// Group commit, durability half: under a batch-sync'd commit log the
-	// drained transactions' records are buffered — one fsync now makes
-	// the whole batch durable (N announcements, one disk flush).
+	// transaction's record is buffered — one fsync now makes the whole
+	// batch durable (N announcements, one disk flush).
 	if err := r.med.syncCommitLog(); err != nil {
-		clean = false
-		tickErr = err
-		r.noteErr(err)
+		fail(err)
 	}
 	if clean {
 		// The queue drained with no failure: whatever condition a past
-		// tick latched is over.
+		// flush latched is over.
 		r.mu.Lock()
 		r.lastErr = nil
 		r.mu.Unlock()
@@ -220,10 +174,11 @@ func (r *Runtime) flushAll() {
 		Type: metrics.EventFlush, Dur: time.Since(start),
 		Fields: map[string]int64{"txns": int64(committed)},
 	}
-	if tickErr != nil {
-		ev.Err = tickErr.Error()
+	if flushErr != nil {
+		ev.Err = flushErr.Error()
 	}
 	r.med.obs.reg.Emit(ev)
+	return clean && len(r.med.QuarantinedSources()) == 0
 }
 
 // Flush runs update transactions until the queue is empty, synchronously
@@ -265,7 +220,7 @@ func (r *Runtime) Flushes() int {
 	return r.flushes
 }
 
-// Err reports the loop's current error condition: the most recent tick
+// Err reports the loop's current error condition: the most recent flush
 // failure not yet followed by a fully clean drain (nil when healthy —
 // including after recovery). Use LastErr/ErrCount for history.
 func (r *Runtime) Err() error {
@@ -274,7 +229,7 @@ func (r *Runtime) Err() error {
 	return r.lastErr
 }
 
-// LastErr reports the most recent tick failure ever, surviving recovery
+// LastErr reports the most recent flush failure ever, surviving recovery
 // (nil if the loop never failed).
 func (r *Runtime) LastErr() error {
 	r.mu.Lock()
@@ -282,7 +237,7 @@ func (r *Runtime) LastErr() error {
 	return r.lastFailure
 }
 
-// ErrCount reports how many tick failures the loop has recorded.
+// ErrCount reports how many flush failures the loop has recorded.
 func (r *Runtime) ErrCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

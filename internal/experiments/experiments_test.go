@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -57,12 +59,42 @@ func TestTablePrint(t *testing.T) {
 	}
 }
 
+// TestRunAllSmoke checks RunAll's contract on a stub registry (the real
+// runners are exercised by TestExperimentsRun): experiments run in IDs()
+// order, and the first failure stops the run, wrapped as "<id>: ".
 func TestRunAllSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
+	saved := Registry
+	t.Cleanup(func() { Registry = saved })
+	var ran []string
+	stub := func(id string, err error) func(io.Writer) error {
+		return func(w io.Writer) error {
+			ran = append(ran, id)
+			fmt.Fprintf(w, "%s ", id)
+			return err
+		}
 	}
-	// RunAll stops at the first failure; discard output.
-	if err := RunAll(io.Discard); err != nil {
-		t.Fatal(err)
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		reg     map[string]func(io.Writer) error
+		ran     string
+		wantErr string
+	}{
+		{map[string]func(io.Writer) error{"E10": stub("E10", nil), "E2": stub("E2", nil), "E1": stub("E1", nil)},
+			"E1 E2 E10", ""},
+		{map[string]func(io.Writer) error{"E10": stub("E10", nil), "E2": stub("E2", boom), "E1": stub("E1", nil), "E3": stub("E3", errors.New("later"))},
+			"E1 E2", "E2: boom"},
+	} {
+		Registry, ran = tc.reg, nil
+		var buf bytes.Buffer
+		err := RunAll(&buf)
+		if got := strings.Join(ran, " "); got != tc.ran || buf.String() != got+" " {
+			t.Errorf("ran %q, wrote %q; want %q in order", got, buf.String(), tc.ran)
+		}
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("clean run: %v", err)
+		case tc.wantErr != "" && (err == nil || err.Error() != tc.wantErr || !errors.Is(err, boom)):
+			t.Errorf("error %v, want %q wrapping the runner's error", err, tc.wantErr)
+		}
 	}
 }

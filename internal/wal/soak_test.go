@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -201,12 +202,29 @@ func runCrashSoak(t *testing.T, seed int64, compactEvery, cycles int) {
 	}
 }
 
-// TestBatchedRuntimeGroupCommit wires the WAL under the group-commit
-// batching loop: announcements arriving inside the flush window coalesce
-// into one transaction (one record), and under SyncBatch the runtime's
-// single post-drain Sync makes the whole batch durable — fsyncs are
-// amortized across the batch, and a crash after the flush loses nothing.
-func TestBatchedRuntimeGroupCommit(t *testing.T) {
+// gatedLog passes commits through to the manager, but its first
+// LogCommit blocks until release is closed — holding the runtime inside a
+// transaction while more announcements queue up.
+type gatedLog struct {
+	core.CommitLog
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (g *gatedLog) LogCommit(rec *core.CommitRecord) error {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.CommitLog.LogCommit(rec)
+}
+
+// TestRuntimeGroupCommit wires the WAL under the runtime's group commit:
+// the announcements that arrive while a transaction is in flight coalesce
+// into the next transaction (one record), and under SyncBatch the
+// runtime's Sync after each transaction makes its batch durable — one
+// fsync per batch, and a crash after the flush loses nothing.
+func TestRuntimeGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	e := newWalEnv(t)
 	med := e.startFresh(t)
@@ -218,8 +236,11 @@ func TestBatchedRuntimeGroupCommit(t *testing.T) {
 	if err := mgr.Start(med); err != nil {
 		t.Fatal(err)
 	}
+	gate := &gatedLog{CommitLog: mgr, entered: make(chan struct{}), release: make(chan struct{})}
+	med.SetCommitLog(gate)
+	baseVersion, baseSyncs := med.StoreVersion(), inj.Counts().Syncs
 
-	rt, err := core.NewBatchedRuntime(med, 20*time.Millisecond, 0)
+	rt, err := core.NewRuntime(med, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,22 +248,30 @@ func TestBatchedRuntimeGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	const commits = 12
-	for i := 0; i < commits; i++ {
+	e.applyOne(t)
+	select {
+	case <-gate.entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("runtime never started a transaction")
+	}
+	for i := 1; i < commits; i++ {
 		e.applyOne(t)
 	}
+	close(gate.release)
 	if err := rt.Stop(); err != nil {
 		t.Fatal(err)
 	}
 	want := snapBytes(t, med)
 	wantVersion := med.StoreVersion()
-	syncs := inj.Counts().Syncs
+	syncs := inj.Counts().Syncs - baseSyncs
 	mgr.Kill()
 
-	if wantVersion >= uint64(commits) {
-		t.Fatalf("version %d after %d batched commits: batching never coalesced", wantVersion, commits)
+	if wantVersion != baseVersion+2 {
+		t.Fatalf("version %d after %d commits from v%d: want 2 transactions, the first and one for the %d that queued behind it",
+			wantVersion, commits, baseVersion, commits-1)
 	}
-	if syncs == 0 || syncs > uint64(commits) {
-		t.Fatalf("%d fsyncs for %d commits, want amortized group commit", syncs, commits)
+	if syncs != 2 {
+		t.Fatalf("%d fsyncs for 2 batches, want one per batch", syncs)
 	}
 
 	med2 := e.newMediator(t)

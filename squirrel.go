@@ -219,7 +219,7 @@ type (
 	Time = clock.Time
 	// TimeVector is a per-source time vector.
 	TimeVector = clock.Vector
-	// Runtime drives periodic update transactions (the u_hold policy).
+	// Runtime drives update transactions by group commit (the u_hold policy).
 	Runtime = core.Runtime
 	// StateSnapshot is the mediator's durable state (see SaveState).
 	StateSnapshot = core.StateSnapshot

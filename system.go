@@ -246,9 +246,9 @@ type DurabilityConfig struct {
 	// missing. Required.
 	Dir string
 	// Fsync is the sync policy: wal.SyncCommit (default — every
-	// published version is durable first), wal.SyncBatch (the runtime's
-	// group-commit flush makes each drained batch durable with one
-	// fsync), or wal.SyncNone.
+	// published version is durable first), wal.SyncBatch (the runtime
+	// makes each drained batch durable with one fsync before its next
+	// transaction), or wal.SyncNone.
 	Fsync wal.SyncPolicy
 	// CompactEvery checkpoints the store and truncates the log after
 	// this many logged commits (0 = default, negative = only on
@@ -530,33 +530,17 @@ func Relations(schema *Schema, tuples ...Tuple) *Relation {
 	return r
 }
 
-// StartRuntime launches a background loop that drains the update queue
-// every period (the u_hold_delay policy of §7). Call the returned
-// runtime's Stop to terminate it (Stop performs a final drain).
-func (s *System) StartRuntime(period time.Duration) (*Runtime, error) {
+// StartRuntime launches the background group-commit loop: it commits as
+// soon as an announcement arrives, and whatever arrives during a
+// transaction forms the next batch. hold is the u_hold_delay bound of §7:
+// the retry interval after a failed flush or while a source is
+// quarantined. Call the returned runtime's Stop to terminate it (Stop
+// performs a final drain).
+func (s *System) StartRuntime(hold time.Duration) (*Runtime, error) {
 	if !s.started {
 		return nil, fmt.Errorf("squirrel: not started")
 	}
-	rt, err := core.NewRuntime(s.med, period)
-	if err != nil {
-		return nil, err
-	}
-	if err := rt.Start(); err != nil {
-		return nil, err
-	}
-	return rt, nil
-}
-
-// StartBatchedRuntime launches a group-commit flush loop: it wakes when an
-// announcement arrives, absorbs further arrivals for window (closing the
-// batch early once maxBatch announcements are queued; 0 = window only),
-// then drains the queue in one coalesced update transaction, so a single
-// staged-kernel pass amortizes every delta in the batch.
-func (s *System) StartBatchedRuntime(window time.Duration, maxBatch int) (*Runtime, error) {
-	if !s.started {
-		return nil, fmt.Errorf("squirrel: not started")
-	}
-	rt, err := core.NewBatchedRuntime(s.med, window, maxBatch)
+	rt, err := core.NewRuntime(s.med, hold)
 	if err != nil {
 		return nil, err
 	}
