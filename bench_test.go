@@ -814,49 +814,41 @@ func benchWidePropagationMediator(b *testing.B, units, workers int, latency time
 // transaction, so one copy-on-write clone per touched node amortizes the
 // whole batch) and a hot materialized query per iteration. In this regime
 // an update transaction is dominated by cloning and re-keying the stores,
-// which is exactly what the blocks backend vectorizes: rows pays a boxed
-// map insert per tuple, blocks pays slice copies plus open-addressed
+// which the columnar store turns into slice copies plus open-addressed
 // probes over column vectors. EXPERIMENTS.md E19 records the numbers.
 func BenchmarkColumnarPropagation(b *testing.B) {
 	const batch = 8
-	for _, bk := range []squirrel.RelationBackend{squirrel.Rows, squirrel.Blocks} {
-		b.Run("backend="+bk.String(), func(b *testing.B) {
-			prev := squirrel.DefaultRelationBackend()
-			squirrel.SetRelationBackend(bk)
-			defer squirrel.SetRelationBackend(prev)
-			med, db1, db2 := benchMediatorE15(b, 24000, 12000, "materialized")
-			attrs := []string{"r1", "s1"}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for c := 0; c < batch; c++ {
-					d := squirrel.NewDelta()
-					nextKey++
-					d.Insert("R", squirrel.T(nextKey, int64(1+nextKey%500), int64(nextKey%200), 100))
-					if _, err := db1.Apply(d); err != nil {
-						b.Fatal(err)
-					}
-					d = squirrel.NewDelta()
-					nextKey++
-					d.Insert("S", squirrel.T(nextKey, int64(nextKey%10), int64(nextKey%100)))
-					if _, err := db2.Apply(d); err != nil {
-						b.Fatal(err)
-					}
-				}
-				// One coalesced drain: the transaction smashes the whole
-				// 16-announcement queue into a single propagated delta.
-				ran, err := med.RunUpdateTransaction()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !ran {
-					b.Fatal("update transaction had nothing to do")
-				}
-				if _, err := med.QueryOpts("T", attrs, nil, squirrel.QueryOptions{}); err != nil {
-					b.Fatal(err)
-				}
+	med, db1, db2 := benchMediatorE15(b, 24000, 12000, "materialized")
+	attrs := []string{"r1", "s1"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for c := 0; c < batch; c++ {
+			d := squirrel.NewDelta()
+			nextKey++
+			d.Insert("R", squirrel.T(nextKey, int64(1+nextKey%500), int64(nextKey%200), 100))
+			if _, err := db1.Apply(d); err != nil {
+				b.Fatal(err)
 			}
-		})
+			d = squirrel.NewDelta()
+			nextKey++
+			d.Insert("S", squirrel.T(nextKey, int64(nextKey%10), int64(nextKey%100)))
+			if _, err := db2.Apply(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+		// One coalesced drain: the transaction smashes the whole
+		// 16-announcement queue into a single propagated delta.
+		ran, err := med.RunUpdateTransaction()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !ran {
+			b.Fatal("update transaction had nothing to do")
+		}
+		if _, err := med.QueryOpts("T", attrs, nil, squirrel.QueryOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

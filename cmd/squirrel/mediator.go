@@ -18,7 +18,6 @@ import (
 	"squirrel/internal/core"
 	"squirrel/internal/federate"
 	"squirrel/internal/persist"
-	"squirrel/internal/relation"
 	"squirrel/internal/resilience"
 	"squirrel/internal/sqlview"
 	"squirrel/internal/vdp"
@@ -69,8 +68,6 @@ func cmdServeMediator(args []string) error {
 	chaosErr := fs.Float64("chaos-err", 0.1, "per-operation error probability when -chaos-seed is set")
 	workers := fs.Int("propagate-workers", 0,
 		"staged-kernel worker pool for update propagation (0 = serial reference kernel)")
-	backendName := fs.String("relation-backend", "blocks",
-		"relation storage backend: blocks (columnar) or rows (boxed-tuple reference)")
 	exportAddr := fs.String("export-as-source", "",
 		"serve this mediator's fully materialized exports as an autonomous source on this "+
 			"address, so an upstream mediator can consume them with a plain -source "+
@@ -91,11 +88,6 @@ func cmdServeMediator(args []string) error {
 	if *workers < 0 {
 		return fmt.Errorf("bad -propagate-workers %d (want >= 0)", *workers)
 	}
-	backend, err := relation.ParseBackend(*backendName)
-	if err != nil {
-		return fmt.Errorf("bad -relation-backend: %w", err)
-	}
-	relation.SetDefaultBackend(backend)
 	resil := core.ResilienceConfig{
 		PollTimeout: *pollTimeout,
 		Retry:       resilience.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryBase},
@@ -338,8 +330,7 @@ func cmdServeMediator(args []string) error {
 		return err
 	}
 	defer srv.Close()
-	fmt.Printf("\nmediator serving on %s (%s backend, u_hold %s; ctrl-c to stop)\n",
-		bound, backend, *flush)
+	fmt.Printf("\nmediator serving on %s (u_hold %s; ctrl-c to stop)\n", bound, *flush)
 	if *adapt {
 		fmt.Printf("adaptive annotation: advising every %s\n", *adaptInterval)
 	}

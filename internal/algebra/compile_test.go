@@ -184,11 +184,11 @@ func TestSelectProjectAllocsPerCall(t *testing.T) {
 	proj := relation.MustSchema("P", []relation.Attribute{{Name: "v", Type: relation.KindInt}})
 	pred := Compile(Conj(Ge(A("k"), CInt(10)), Lt(A("k"), CInt(210))), schema)
 	allocs := func(rows int) float64 {
-		src := relation.NewWith(schema, relation.Bag, relation.Blocks)
+		src := relation.New(schema, relation.Bag)
 		for i := 0; i < rows; i++ {
 			src.Add(relation.T(i, i%7), 1)
 		}
-		dst := relation.NewWith(proj, relation.Bag, relation.Blocks)
+		dst := relation.New(proj, relation.Bag)
 		scan := func() {
 			if err := relation.ProjectSelectInto(dst, src, []int{1}, pred); err != nil {
 				t.Fatal(err)

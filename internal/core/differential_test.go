@@ -32,6 +32,14 @@ import (
 // so transcripts for different workers values are directly comparable.
 func differentialTranscript(t *testing.T, seed int64, workers int) []string {
 	t.Helper()
+	return observedTranscript(t, seed, workers, nil)
+}
+
+// observedTranscript is differentialTranscript with a hook: afterTxn, when
+// non-nil, runs after every update transaction (drain included), once the
+// transaction's version is published.
+func observedTranscript(t *testing.T, seed int64, workers int, afterTxn func(rp *randPlan)) []string {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	rp := buildRandomPlanWorkers(t, rng, workers)
 	var tr []string
@@ -54,6 +62,9 @@ func differentialTranscript(t *testing.T, seed int64, workers int) []string {
 		ran, err := rp.med.RunUpdateTransaction()
 		if err != nil {
 			t.Fatalf("workers=%d step %d txn: %v\nplan:\n%s", workers, step, err, rp.plan)
+		}
+		if afterTxn != nil {
+			afterTxn(rp)
 		}
 		record("step %d txn ran=%v seq=%d\n%s",
 			step, ran, rp.med.vstore.Current().Seq(), renderStores())
@@ -87,6 +98,9 @@ func differentialTranscript(t *testing.T, seed int64, workers int) []string {
 		}
 		if !ran {
 			break
+		}
+		if afterTxn != nil {
+			afterTxn(rp)
 		}
 		record("drain txn seq=%d\n%s", rp.med.vstore.Current().Seq(), renderStores())
 	}

@@ -749,7 +749,7 @@ func (m *Mediator) CheckJoinIndexes() error {
 		rel := cur.Rel(name)
 		var want [][]string
 		for _, attrs := range v.JoinIndexes(name) {
-			if _, err := rel.Schema().Positions(attrs); err == nil && rel.Backend() == relation.Blocks {
+			if _, err := rel.Schema().Positions(attrs); err == nil {
 				want = append(want, attrs)
 			}
 		}

@@ -14,12 +14,10 @@
 // deltas that "simultaneously contain atoms that refer to more than one
 // relation".
 //
-// Like relations, deltas have two physical backends: the columnar Blocks
-// backend stores atoms in a relation.TupleMap with signed counts, so
-// smash, apply, select, project, and distinct move data column-to-column
-// using stored hashes (no tuple materialization, no key strings); the
-// Rows backend keeps the original map[string]*entry representation as a
-// differential oracle.
+// Like relations, deltas store their atoms in a relation.TupleMap, here
+// with signed counts, so smash, apply, select, project, and distinct move
+// data column-to-column using stored hashes (no tuple materialization, no
+// key strings).
 package delta
 
 import (
@@ -33,33 +31,12 @@ import (
 // RelDelta is an incremental update to a single relation, represented as a
 // signed multiset of tuples.
 type RelDelta struct {
-	rel     string
-	entries map[string]*entry  // Rows backend (nil on Blocks)
-	tm      *relation.TupleMap // Blocks backend, lazily sized on first Add
+	rel string
+	tm  *relation.TupleMap // nil until the first Add fixes the arity
 }
 
-type entry struct {
-	tuple relation.Tuple
-	n     int
-}
-
-// NewRel creates an empty delta for the named relation on the
-// process-default backend.
-func NewRel(rel string) *RelDelta {
-	return NewRelWith(rel, relation.DefaultBackend())
-}
-
-// NewRelWith creates an empty delta on an explicit backend.
-func NewRelWith(rel string, bk relation.Backend) *RelDelta {
-	d := &RelDelta{rel: rel}
-	if bk == relation.Rows {
-		d.entries = make(map[string]*entry)
-	}
-	return d
-}
-
-// blocks reports whether this delta uses the columnar backend.
-func (d *RelDelta) blocks() bool { return d.entries == nil }
+// NewRel creates an empty delta for the named relation.
+func NewRel(rel string) *RelDelta { return &RelDelta{rel: rel} }
 
 // lazy returns the columnar store, creating it at the given arity on
 // first use (the arity is not known until the first tuple arrives).
@@ -80,34 +57,7 @@ func (d *RelDelta) Add(t relation.Tuple, n int) {
 	if n == 0 {
 		return
 	}
-	if d.blocks() {
-		d.lazy(len(t)).Add(t, int64(n), relation.ModeSigned)
-		return
-	}
-	key := t.Key()
-	e := d.entries[key]
-	if e == nil {
-		d.entries[key] = &entry{tuple: t.Clone(), n: n}
-		return
-	}
-	e.n += n
-	if e.n == 0 {
-		delete(d.entries, key)
-	}
-}
-
-// setCount forces the signed count of t to n (override semantics).
-func (d *RelDelta) setCount(t relation.Tuple, n int) {
-	if d.blocks() {
-		d.lazy(len(t)).Add(t, int64(n), relation.ModeAssign)
-		return
-	}
-	key := t.Key()
-	if n == 0 {
-		delete(d.entries, key)
-		return
-	}
-	d.entries[key] = &entry{tuple: t.Clone(), n: n}
+	d.lazy(len(t)).Add(t, int64(n), relation.ModeSigned)
 }
 
 // Insert records one insertion atom +R(t).
@@ -118,16 +68,10 @@ func (d *RelDelta) Delete(t relation.Tuple) { d.Add(t, -1) }
 
 // Count returns the signed count of t in the delta.
 func (d *RelDelta) Count(t relation.Tuple) int {
-	if d.blocks() {
-		if d.tm == nil {
-			return 0
-		}
-		return int(d.tm.Get(t))
+	if d.tm == nil {
+		return 0
 	}
-	if e, ok := d.entries[t.Key()]; ok {
-		return e.n
-	}
-	return 0
+	return int(d.tm.Get(t))
 }
 
 // IsEmpty reports whether the delta contains no atoms.
@@ -135,13 +79,10 @@ func (d *RelDelta) IsEmpty() bool { return d.Len() == 0 }
 
 // Len returns the number of distinct tuples mentioned.
 func (d *RelDelta) Len() int {
-	if d.blocks() {
-		if d.tm == nil {
-			return 0
-		}
-		return d.tm.Len()
+	if d.tm == nil {
+		return 0
 	}
-	return len(d.entries)
+	return d.tm.Len()
 }
 
 // Card returns the total number of atoms (sum of absolute counts).
@@ -160,20 +101,12 @@ func (d *RelDelta) Card() int {
 
 // Each iterates over the entries (tuple, signed count); return false to
 // stop. Iteration order is unspecified. Tuples handed out are safe to
-// retain on every backend.
+// retain.
 func (d *RelDelta) Each(fn func(t relation.Tuple, n int) bool) {
-	if d.blocks() {
-		if d.tm == nil {
-			return
-		}
-		d.tm.Each(func(t relation.Tuple, n int64) bool { return fn(t, int(n)) })
+	if d.tm == nil {
 		return
 	}
-	for _, e := range d.entries {
-		if !fn(e.tuple, e.n) {
-			return
-		}
-	}
+	d.tm.Each(func(t relation.Tuple, n int64) bool { return fn(t, int(n)) })
 }
 
 // Rows returns the entries in deterministic (sorted) order with signed
@@ -216,43 +149,23 @@ func (d *RelDelta) signed(sign int) []relation.Row {
 // Clone returns a deep copy.
 func (d *RelDelta) Clone() *RelDelta {
 	c := &RelDelta{rel: d.rel}
-	if d.blocks() {
-		if d.tm != nil {
-			c.tm = d.tm.Clone()
-		}
-		return c
-	}
-	c.entries = make(map[string]*entry, len(d.entries))
-	for key, e := range d.entries {
-		c.entries[key] = &entry{tuple: e.tuple.Clone(), n: e.n}
+	if d.tm != nil {
+		c.tm = d.tm.Clone()
 	}
 	return c
 }
 
-// Equal reports whether two deltas contain identical atoms. The backends
-// need not match.
+// Equal reports whether two deltas contain identical atoms.
 func (d *RelDelta) Equal(o *RelDelta) bool {
 	if d.Len() != o.Len() {
 		return false
 	}
-	if d.blocks() && o.blocks() {
-		if d.tm == nil || o.tm == nil {
-			return true // both empty (lengths matched)
-		}
-		eq := true
-		d.tm.EachSlot(func(s int32, n int64) bool {
-			if o.tm.GetFrom(d.tm, s) != n {
-				eq = false
-			}
-			return eq
-		})
-		return eq
+	if d.tm == nil || o.tm == nil {
+		return true // both empty (lengths matched)
 	}
 	eq := true
-	d.Each(func(t relation.Tuple, n int) bool {
-		if o.Count(t) != n {
-			eq = false
-		}
+	d.tm.EachSlot(func(s int32, n int64) bool {
+		eq = o.tm.GetFrom(d.tm, s) == n
 		return eq
 	})
 	return eq
@@ -262,19 +175,12 @@ func (d *RelDelta) Equal(o *RelDelta) bool {
 // For non-redundant deltas, apply(apply(db, Δ), Δ⁻¹) = db.
 func (d *RelDelta) Inverse() *RelDelta {
 	c := &RelDelta{rel: d.rel}
-	if d.blocks() {
-		if d.tm != nil {
-			tm := c.lazy(d.tm.Arity())
-			d.tm.EachSlot(func(s int32, n int64) bool {
-				tm.AddFrom(d.tm, s, -n, relation.ModeSigned)
-				return true
-			})
-		}
-		return c
-	}
-	c.entries = make(map[string]*entry, len(d.entries))
-	for key, e := range d.entries {
-		c.entries[key] = &entry{tuple: e.tuple.Clone(), n: -e.n}
+	if d.tm != nil {
+		tm := c.lazy(d.tm.Arity())
+		d.tm.EachSlot(func(s int32, n int64) bool {
+			tm.AddFrom(d.tm, s, -n, relation.ModeSigned)
+			return true
+		})
 	}
 	return c
 }
@@ -282,23 +188,15 @@ func (d *RelDelta) Inverse() *RelDelta {
 // Smash combines o into d additively: apply(db, d ! o) =
 // apply(apply(db, d), o). This is the bag smash; for set-semantics deltas
 // satisfying the paper's non-redundancy assumption it agrees with the
-// override smash of [HJ91] under apply (see SmashSet). When both deltas
-// are block-backed the combination is vectorized: stored hashes are
-// reused and values move column-to-column.
+// override smash of [HJ91] under apply (see SmashSet). The combination is
+// vectorized: stored hashes are reused and values move column-to-column.
 func (d *RelDelta) Smash(o *RelDelta) {
-	if d.blocks() && o.blocks() {
-		if o.tm == nil {
-			return
-		}
-		tm := d.lazy(o.tm.Arity())
-		o.tm.EachSlot(func(s int32, n int64) bool {
-			tm.AddFrom(o.tm, s, n, relation.ModeSigned)
-			return true
-		})
+	if o.tm == nil {
 		return
 	}
-	o.Each(func(t relation.Tuple, n int) bool {
-		d.Add(t, n)
+	tm := d.lazy(o.tm.Arity())
+	o.tm.EachSlot(func(s int32, n int64) bool {
+		tm.AddFrom(o.tm, s, n, relation.ModeSigned)
 		return true
 	})
 }
@@ -307,27 +205,16 @@ func (d *RelDelta) Smash(o *RelDelta) {
 // result is the union of the two atom sets with any atom of d that
 // conflicts with an atom of o removed (o wins). Counts are clamped to ±1.
 func (d *RelDelta) SmashSet(o *RelDelta) {
-	if d.blocks() && o.blocks() {
-		if o.tm == nil {
-			return
-		}
-		tm := d.lazy(o.tm.Arity())
-		o.tm.EachSlot(func(s int32, n int64) bool {
-			sign := int64(1)
-			if n < 0 {
-				sign = -1
-			}
-			tm.AddFrom(o.tm, s, sign, relation.ModeAssign)
-			return true
-		})
+	if o.tm == nil {
 		return
 	}
-	o.Each(func(t relation.Tuple, n int) bool {
-		sign := 1
+	tm := d.lazy(o.tm.Arity())
+	o.tm.EachSlot(func(s int32, n int64) bool {
+		sign := int64(1)
 		if n < 0 {
 			sign = -1
 		}
-		d.setCount(t, sign)
+		tm.AddFrom(o.tm, s, sign, relation.ModeAssign)
 		return true
 	})
 }
@@ -336,95 +223,64 @@ func (d *RelDelta) SmashSet(o *RelDelta) {
 // any redundant atom (inserting a tuple already at its maximum multiplicity
 // in a set relation, or deleting more occurrences than exist); otherwise
 // effects are clamped. The relation name is not checked so that deltas can
-// be applied to renamed copies. Block-backed deltas apply slot-wise
-// through the relation's columnar store when it has one.
+// be applied to renamed copies. Atoms apply slot-wise into the relation's
+// columnar store.
 func (d *RelDelta) ApplyTo(rel *relation.Relation, strict bool) error {
-	if d.blocks() {
-		if d.tm == nil {
-			return nil
-		}
-		var err error
-		d.tm.EachSlot(func(s int32, n int64) bool {
-			applied := rel.AddSlot(d.tm, s, n)
-			if strict && applied != n {
-				t := d.tm.AppendTupleAt(nil, s)
-				err = fmt.Errorf("delta: redundant atom for %s: tuple %s count %+d applied %+d",
-					d.rel, t, n, applied)
-			}
-			return err == nil
-		})
-		return err
+	if d.tm == nil {
+		return nil
 	}
-	for _, e := range d.entries {
-		applied, _ := rel.Add(e.tuple, e.n)
-		if strict && applied != e.n {
-			return fmt.Errorf("delta: redundant atom for %s: tuple %s count %+d applied %+d",
-				d.rel, e.tuple, e.n, applied)
+	var err error
+	d.tm.EachSlot(func(s int32, n int64) bool {
+		applied := rel.AddSlot(d.tm, s, n)
+		if strict && applied != n {
+			t := d.tm.AppendTupleAt(nil, s)
+			err = fmt.Errorf("delta: redundant atom for %s: tuple %s count %+d applied %+d",
+				d.rel, t, n, applied)
 		}
-	}
-	return nil
+		return err == nil
+	})
+	return err
 }
 
 // Project returns a new delta for relation newRel whose tuples are the
 // projections of d's tuples onto the given positions, counts preserved
 // (bag projection). Projection commutes with apply, as the paper notes.
 func (d *RelDelta) Project(newRel string, positions []int) *RelDelta {
-	if d.blocks() {
-		out := &RelDelta{rel: newRel}
-		if d.tm == nil {
-			return out
-		}
-		tm := out.lazy(len(positions))
-		d.tm.EachSlot(func(s int32, n int64) bool {
-			tm.AddFromProjected(d.tm, s, positions, n, relation.ModeSigned)
-			return true
-		})
+	out := &RelDelta{rel: newRel}
+	if d.tm == nil {
 		return out
 	}
-	out := NewRelWith(newRel, relation.Rows)
-	for _, e := range d.entries {
-		out.Add(e.tuple.Project(positions), e.n)
-	}
+	tm := out.lazy(len(positions))
+	d.tm.EachSlot(func(s int32, n int64) bool {
+		tm.AddFromProjected(d.tm, s, positions, n, relation.ModeSigned)
+		return true
+	})
 	return out
 }
 
 // Select returns a new delta containing only the atoms whose tuples
-// satisfy pred. Selection commutes with apply. On the columnar backend
-// pred reads the delta's columns in place and kept atoms move
-// column-to-column.
+// satisfy pred. Selection commutes with apply. pred reads the delta's
+// columns in place and kept atoms move column-to-column.
 func (d *RelDelta) Select(pred relation.Predicate) (*RelDelta, error) {
-	if d.blocks() {
-		out := &RelDelta{rel: d.rel}
-		if d.tm == nil {
-			return out, nil
-		}
-		test := pred.Bind(d.tm)
-		var err error
-		d.tm.EachSlot(func(s int32, n int64) bool {
-			ok, e := test(s)
-			if e != nil {
-				err = e
-				return false
-			}
-			if ok {
-				out.lazy(d.tm.Arity()).AddFrom(d.tm, s, n, relation.ModeSigned)
-			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
+	out := &RelDelta{rel: d.rel}
+	if d.tm == nil {
 		return out, nil
 	}
-	out := NewRelWith(d.rel, relation.Rows)
-	for _, e := range d.entries {
-		ok, err := pred.Eval(e.tuple)
-		if err != nil {
-			return nil, err
+	test := pred.Bind(d.tm)
+	var err error
+	d.tm.EachSlot(func(s int32, n int64) bool {
+		ok, e := test(s)
+		if e != nil {
+			err = e
+			return false
 		}
 		if ok {
-			out.Add(e.tuple, e.n)
+			out.lazy(d.tm.Arity()).AddFrom(d.tm, s, n, relation.ModeSigned)
 		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -442,49 +298,25 @@ func (d *RelDelta) Renamed(rel string) *RelDelta {
 // 0 -> positive and -1 if it transitions positive -> 0. This is how bag
 // nodes feed set nodes (difference nodes) in a VDP.
 func (d *RelDelta) Distinct(old *relation.Relation) *RelDelta {
-	if d.blocks() {
-		out := &RelDelta{rel: d.rel}
-		if d.tm == nil {
-			return out
-		}
-		oldTM := old.Blockmap()
-		var scratch relation.Tuple
-		d.tm.EachSlot(func(s int32, n int64) bool {
-			var before int64
-			if oldTM != nil {
-				before = oldTM.GetFrom(d.tm, s)
-			} else {
-				scratch = d.tm.AppendTupleAt(scratch[:0], s)
-				before = int64(old.Count(scratch))
-			}
-			after := before + n
-			if after < 0 {
-				after = 0
-			}
-			switch {
-			case before == 0 && after > 0:
-				out.lazy(d.tm.Arity()).AddFrom(d.tm, s, 1, relation.ModeSigned)
-			case before > 0 && after == 0:
-				out.lazy(d.tm.Arity()).AddFrom(d.tm, s, -1, relation.ModeSigned)
-			}
-			return true
-		})
+	out := &RelDelta{rel: d.rel}
+	if d.tm == nil {
 		return out
 	}
-	out := NewRelWith(d.rel, relation.Rows)
-	for _, e := range d.entries {
-		before := old.Count(e.tuple)
-		after := before + e.n
+	oldTM := old.Blockmap()
+	d.tm.EachSlot(func(s int32, n int64) bool {
+		before := oldTM.GetFrom(d.tm, s)
+		after := before + n
 		if after < 0 {
 			after = 0
 		}
 		switch {
 		case before == 0 && after > 0:
-			out.Add(e.tuple, 1)
+			out.lazy(d.tm.Arity()).AddFrom(d.tm, s, 1, relation.ModeSigned)
 		case before > 0 && after == 0:
-			out.Add(e.tuple, -1)
+			out.lazy(d.tm.Arity()).AddFrom(d.tm, s, -1, relation.ModeSigned)
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -501,28 +333,16 @@ func (d *RelDelta) String() string {
 
 // Diff computes the delta that transforms relation a into relation b
 // (tuple counts in b minus counts in a). Both must share a schema shape.
-// Vectorized when a, b, and the default backend are all columnar.
 func Diff(rel string, a, b *relation.Relation) *RelDelta {
 	out := NewRel(rel)
 	atm, btm := a.Blockmap(), b.Blockmap()
-	if out.blocks() && atm != nil && btm != nil {
-		tm := out.lazy(atm.Arity())
-		atm.EachSlot(func(s int32, n int64) bool {
-			tm.AddFrom(atm, s, -n, relation.ModeSigned)
-			return true
-		})
-		btm.EachSlot(func(s int32, n int64) bool {
-			tm.AddFrom(btm, s, n, relation.ModeSigned)
-			return true
-		})
-		return out
-	}
-	a.Each(func(t relation.Tuple, n int) bool {
-		out.Add(t, -n)
+	tm := out.lazy(atm.Arity())
+	atm.EachSlot(func(s int32, n int64) bool {
+		tm.AddFrom(atm, s, -n, relation.ModeSigned)
 		return true
 	})
-	b.Each(func(t relation.Tuple, n int) bool {
-		out.Add(t, n)
+	btm.EachSlot(func(s int32, n int64) bool {
+		tm.AddFrom(btm, s, n, relation.ModeSigned)
 		return true
 	})
 	return out

@@ -1,7 +1,10 @@
 package delta
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -63,21 +66,6 @@ func TestInsertionsDeletions(t *testing.T) {
 	}
 	if len(del) != 1 || del[0].Count != 1 {
 		t.Errorf("deletions: %v", del)
-	}
-}
-
-// forEachBackend runs fn once per physical backend with the
-// process-default backend switched, so every NewRel/NewBag inside the
-// law exercises that representation.
-func forEachBackend(t *testing.T, fn func(t *testing.T)) {
-	t.Helper()
-	for _, bk := range []relation.Backend{relation.Rows, relation.Blocks} {
-		t.Run("backend="+bk.String(), func(t *testing.T) {
-			prev := relation.DefaultBackend()
-			relation.SetDefaultBackend(bk)
-			t.Cleanup(func() { relation.SetDefaultBackend(prev) })
-			fn(t)
-		})
 	}
 }
 
@@ -202,8 +190,7 @@ func selectProjectCommuteLaw(t *testing.T, rng *rand.Rand) bool {
 }
 
 // TestDeltaLaws is the shared table-driven harness: every algebraic law
-// runs against both physical backends over a spread of random seeds, so
-// a columnar kernel that diverges from the row-oriented semantics fails
+// runs over a spread of random seeds, so a kernel that breaks one fails
 // here before the end-to-end oracle ever sees it.
 func TestDeltaLaws(t *testing.T) {
 	laws := []struct {
@@ -219,12 +206,14 @@ func TestDeltaLaws(t *testing.T) {
 	for _, law := range laws {
 		law := law
 		t.Run(law.name, func(t *testing.T) {
-			forEachBackend(t, func(t *testing.T) {
+			// The subtest names the representation the law runs on: the
+			// columnar blocks form, the only one (the row form lives on
+			// as TestDeltaMatchesModel's reference model).
+			t.Run("backend=blocks", func(t *testing.T) {
 				for seed := 0; seed < law.seeds; seed++ {
 					rng := rand.New(rand.NewSource(int64(seed)))
 					if !law.check(t, rng) {
-						t.Fatalf("law %s failed on %s backend at seed %d",
-							law.name, relation.DefaultBackend(), seed)
+						t.Fatalf("law %s failed at seed %d", law.name, seed)
 					}
 				}
 			})
@@ -232,59 +221,178 @@ func TestDeltaLaws(t *testing.T) {
 	}
 }
 
-// TestDeltaCrossBackendEquivalence drives the same random delta program
-// into a rows-backed and a blocks-backed delta and requires identical
-// deterministic renders at every step, including through smash, inverse,
-// project, select, and distinct.
-func TestDeltaCrossBackendEquivalence(t *testing.T) {
-	pred := algebra.Compile(algebra.Lt(algebra.A("b"), algebra.CInt(3)), schemaR(t))
+// modelDelta is the reference model a RelDelta is checked against: one
+// signed count per distinct tuple, keyed by Tuple.Key, entries at zero
+// removed.
+type modelDelta map[string]*relation.Row
+
+func (m modelDelta) add(t relation.Tuple, n int) {
+	key := t.Key()
+	if m[key] == nil {
+		m[key] = &relation.Row{Tuple: t.Clone()}
+	}
+	if m[key].Count += n; m[key].Count == 0 {
+		delete(m, key)
+	}
+}
+
+// derive builds a new model from m's entries: f returns the tuple and
+// signed count each entry contributes (count 0 drops it).
+func (m modelDelta) derive(f func(relation.Tuple, int) (relation.Tuple, int)) modelDelta {
+	out := modelDelta{}
+	for _, r := range m {
+		if t, n := f(r.Tuple, r.Count); n != 0 {
+			out.add(t, n)
+		}
+	}
+	return out
+}
+
+// render is RelDelta.String's format over the model's entries.
+func (m modelDelta) render(rel string) string {
+	rows := make([]relation.Row, 0, len(m))
+	atoms := 0
+	for _, r := range m {
+		rows = append(rows, *r)
+		atoms += max(r.Count, -r.Count)
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Tuple.Compare(rows[j].Tuple) < 0 })
+	var b strings.Builder
+	fmt.Fprintf(&b, "Δ%s [%d atoms]\n", rel, atoms)
+	for _, r := range rows {
+		fmt.Fprintf(&b, "  %+d %s\n", r.Count, r.Tuple)
+	}
+	return b.String()
+}
+
+// TestDeltaMatchesModel drives a random delta program into a RelDelta and
+// the reference model and requires identical renders through Card,
+// Inverse, Project, Select, Distinct, Smash and SmashSet, plus strict
+// ApplyTo into set and bag relations: the same redundancy verdict and, when
+// the apply is exact, the clamped counts the model predicts.
+func TestDeltaMatchesModel(t *testing.T) {
+	s := schemaR(t)
+	pred := algebra.Compile(algebra.Lt(algebra.A("b"), algebra.CInt(3)), s)
+	sign := func(n int) int { return max(min(n, 1), -1) }
 	for seed := int64(0); seed < 10; seed++ {
-		rngA := rand.New(rand.NewSource(seed))
-		rngB := rand.New(rand.NewSource(seed))
-		dr := NewRelWith("R", relation.Rows)
-		db := NewRelWith("R", relation.Blocks)
-		for i := 0; i < 120; i++ {
-			// rngA and rngB share a seed, so both deltas see the same
-			// operation stream.
-			dr.Add(relation.T(rngA.Intn(12), rngA.Intn(5)), rngA.Intn(7)-3)
-			db.Add(relation.T(rngB.Intn(12), rngB.Intn(5)), rngB.Intn(7)-3)
+		rng := rand.New(rand.NewSource(seed))
+		// Int and Float spellings of one number must share an atom.
+		stream := func(d *RelDelta, m modelDelta, n int) {
+			for i := 0; i < n; i++ {
+				a := relation.Int(int64(rng.Intn(12)))
+				if rng.Intn(3) == 0 {
+					a = relation.Float(a.AsFloat())
+				}
+				tp, k := relation.Tuple{a, relation.Int(int64(rng.Intn(5)))}, rng.Intn(7)-3
+				d.Add(tp, k)
+				m.add(tp, k)
+			}
 		}
-		if dr.String() != db.String() {
-			t.Fatalf("seed %d: renders diverge\nrows:\n%s\nblocks:\n%s", seed, dr, db)
+		d, m := NewRel("R"), modelDelta{}
+		stream(d, m, 120)
+		check := func(what string, got *RelDelta, want modelDelta) {
+			t.Helper()
+			if got.String() != want.render(got.Rel()) || got.Len() != len(want) {
+				t.Fatalf("seed %d: %s diverges\ngot:\n%s\nmodel:\n%s", seed, what, got, want.render(got.Rel()))
+			}
+			rebuilt := NewRel(got.Rel())
+			for _, r := range want {
+				rebuilt.Add(r.Tuple, r.Count)
+			}
+			if !got.Equal(rebuilt) || !rebuilt.Equal(got) {
+				t.Fatalf("seed %d: %s: Equal against the model's atoms failed", seed, what)
+			}
 		}
-		if !dr.Equal(db) || !db.Equal(dr) {
-			t.Fatalf("seed %d: cross-backend Equal failed", seed)
+		check("delta", d, m)
+		check("clone", d.Clone(), m)
+		check("inverse", d.Inverse(), m.derive(func(t relation.Tuple, n int) (relation.Tuple, int) { return t, -n }))
+		check("project", d.Project("P", []int{1}), m.derive(func(t relation.Tuple, n int) (relation.Tuple, int) {
+			return t.Project([]int{1}), n
+		}))
+		sel, err := d.Select(pred)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if dr.Inverse().String() != db.Inverse().String() {
-			t.Fatalf("seed %d: inverse diverges", seed)
+		check("select", sel, m.derive(func(t relation.Tuple, n int) (relation.Tuple, int) {
+			if ok, _ := pred.Eval(t); !ok {
+				return t, 0
+			}
+			return t, n
+		}))
+
+		old := randBag(rng, s, 10)
+		check("distinct", d.Distinct(old), m.derive(func(t relation.Tuple, n int) (relation.Tuple, int) {
+			before := old.Count(t)
+			after := max(before+n, 0)
+			switch {
+			case before == 0 && after > 0:
+				return t, 1
+			case before > 0 && after == 0:
+				return t, -1
+			}
+			return t, 0
+		}))
+
+		d2, m2 := NewRel("R"), modelDelta{}
+		stream(d2, m2, 30)
+		same := func(t relation.Tuple, n int) (relation.Tuple, int) { return t, n }
+		sm, smM := d.Clone(), m.derive(same)
+		sm.Smash(d2)
+		for _, r := range m2 {
+			smM.add(r.Tuple, r.Count)
 		}
-		if dr.Project("P", []int{1}).String() != db.Project("P", []int{1}).String() {
-			t.Fatalf("seed %d: project diverges", seed)
+		check("smash", sm, smM)
+		ss, ssM := d.Clone(), m.derive(same)
+		ss.SmashSet(d2)
+		for _, r := range m2 {
+			if cur := ssM[r.Tuple.Key()]; cur != nil {
+				cur.Count = sign(r.Count) // override keeps the stored spelling
+			} else {
+				ssM.add(r.Tuple, sign(r.Count))
+			}
 		}
-		sr, err1 := dr.Select(pred)
-		sb, err2 := db.Select(pred)
-		if err1 != nil || err2 != nil || sr.String() != sb.String() {
-			t.Fatalf("seed %d: select diverges: %v %v", seed, err1, err2)
-		}
-		oldR := relation.NewWith(schemaR(t), relation.Bag, relation.Rows)
-		oldB := relation.NewWith(schemaR(t), relation.Bag, relation.Blocks)
-		rngC := rand.New(rand.NewSource(seed + 100))
-		for i := 0; i < 10; i++ {
-			tp := relation.T(rngC.Intn(12), rngC.Intn(5))
-			n := rngC.Intn(3) + 1
-			oldR.Add(tp, n)
-			oldB.Add(tp, n)
-		}
-		if dr.Distinct(oldR).String() != db.Distinct(oldB).String() {
-			t.Fatalf("seed %d: distinct diverges", seed)
-		}
-		// Cross-backend smash (rows delta into blocks delta and back).
-		x := db.Clone()
-		x.Smash(dr)
-		y := dr.Clone()
-		y.Smash(db)
-		if x.String() != y.String() {
-			t.Fatalf("seed %d: cross-backend smash diverges", seed)
+		check("smash-set", ss, ssM)
+
+		for _, sem := range []relation.Semantics{relation.Set, relation.Bag} {
+			rel := relation.New(s, sem)
+			for _, r := range randBag(rng, s, 10).Rows() {
+				rel.Add(r.Tuple, r.Count)
+			}
+			// Apply a small delta so both exact and redundant outcomes occur.
+			small, smallM := NewRel("R"), modelDelta{}
+			stream(small, smallM, 3)
+			exact := true
+			want := map[string]int{}
+			for key, r := range smallM {
+				before := rel.Count(r.Tuple)
+				after := max(before+r.Count, 0)
+				if sem == relation.Set {
+					after = min(after, 1)
+				}
+				exact = exact && after-before == r.Count
+				want[key] = after
+			}
+			got := rel.Clone()
+			err := small.ApplyTo(got, true)
+			if (err == nil) != exact {
+				t.Fatalf("seed %d %s: strict ApplyTo err = %v, model exact = %v\n%s", seed, sem, err, exact, small)
+			}
+			if !exact {
+				got = rel.Clone()
+				if err := small.ApplyTo(got, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			card := rel.Card()
+			for key, r := range smallM {
+				card += want[key] - rel.Count(r.Tuple)
+				if got.Count(r.Tuple) != want[key] {
+					t.Fatalf("seed %d %s: ApplyTo left %s at %d, model %d", seed, sem, r.Tuple, got.Count(r.Tuple), want[key])
+				}
+			}
+			if got.Card() != card {
+				t.Fatalf("seed %d %s: ApplyTo card %d, model %d", seed, sem, got.Card(), card)
+			}
 		}
 	}
 }

@@ -13,20 +13,17 @@ import (
 	"squirrel/internal/core"
 )
 
-// Envelope v3 prepends a one-line header to the v2 JSON payload:
+// Envelope v3 prepends a one-line header to the JSON payload:
 //
 //	%SQRLSNAP v3 crc32c=%08x len=%d\n
-//	{ ...v2-layout JSON... }
+//	{ ...JSON... }
 //
 // The checksum (CRC32-Castagnoli over the payload bytes) and the exact
 // payload length let Load reject truncated or bit-flipped snapshots with
-// ErrCorrupt before JSON decoding ever sees them. Headerless input is
-// assumed to be a v1/v2 envelope and decoded as before, so old snapshots
-// still load.
+// ErrCorrupt before JSON decoding ever sees them. Input without the header
+// is corrupt too, so a damaged first byte cannot pass for a snapshot.
 
-// magic is the first token of a v3 snapshot header. The leading '%' can
-// never begin a JSON document, so sniffing one byte distinguishes v3 from
-// the headerless v1/v2 envelopes.
+// magic is the first token of a v3 snapshot header.
 const magic = "%SQRLSNAP"
 
 // ErrCorrupt reports a snapshot or WAL payload that is present but
@@ -54,20 +51,14 @@ func writeEnvelope(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readEnvelope returns the verified payload of a v3 envelope, or the raw
-// bytes of a headerless (v1/v2) one.
+// readEnvelope returns the verified payload of a v3 envelope.
 func readEnvelope(r io.Reader) ([]byte, error) {
 	br := bufio.NewReader(r)
-	first, err := br.Peek(1)
-	if err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("%w: empty input", ErrCorrupt)
+	if head, err := br.Peek(len(magic)); string(head) != magic {
+		if err != nil && err != io.EOF {
+			return nil, err
 		}
-		return nil, err
-	}
-	if first[0] != magic[0] {
-		// Headerless v1/v2 envelope: the payload is the whole stream.
-		return io.ReadAll(br)
+		return nil, fmt.Errorf("%w: no snapshot header", ErrCorrupt)
 	}
 	header, err := br.ReadString('\n')
 	if err != nil {
@@ -80,7 +71,7 @@ func readEnvelope(r io.Reader) ([]byte, error) {
 	if _, err := fmt.Sscanf(header, "%%"+magic[1:]+" v%d crc32c=%x len=%d", &ver, &sum, &n); err != nil {
 		return nil, fmt.Errorf("%w: malformed header %q", ErrCorrupt, header)
 	}
-	if ver < 3 || ver > Version || n < 0 {
+	if ver != Version || n < 0 {
 		return nil, fmt.Errorf("persist: unsupported snapshot header version %d", ver)
 	}
 	payload := make([]byte, n)

@@ -22,6 +22,15 @@ func saveBytes(t *testing.T, snap *core.StateSnapshot) []byte {
 	return buf.Bytes()
 }
 
+// frame wraps a JSON payload in a v3 header with a matching checksum.
+func frame(payload string) string {
+	var buf bytes.Buffer
+	if err := writeEnvelope(&buf, []byte(payload)); err != nil {
+		panic(err)
+	}
+	return buf.String()
+}
+
 func TestLoadRejectsEmptyInput(t *testing.T) {
 	_, err := Load(strings.NewReader(""))
 	if !errors.Is(err, ErrCorrupt) {
@@ -62,16 +71,18 @@ func TestLoadRejectsBitFlips(t *testing.T) {
 	}
 }
 
-func TestLoadAcceptsHeaderlessV2(t *testing.T) {
-	// Pre-v3 envelopes have no header line; Load must still read them.
+func TestLoadRejectsHeaderless(t *testing.T) {
+	// Input without the v3 header is corrupt, whatever follows: a bare
+	// JSON payload (the retired v1/v2 layout), or bytes zeroed at rest.
 	enc := saveBytes(t, sampleSnapshot(t))
 	payload := enc[bytes.IndexByte(enc, '\n')+1:]
-	snap, err := Load(bytes.NewReader(payload))
-	if err != nil {
-		t.Fatalf("headerless payload: %v", err)
-	}
-	if len(snap.Store) == 0 {
-		t.Fatalf("headerless payload decoded empty store")
+	for name, in := range map[string][]byte{
+		"json payload": payload,
+		"zero filled":  make([]byte, len(enc)),
+	} {
+		if _, err := Load(bytes.NewReader(in)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 

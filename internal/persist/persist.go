@@ -20,9 +20,9 @@ import (
 
 // Version identifies the envelope layout. Version 3 frames the JSON
 // payload with a magic + CRC32C + length header line (see envelope.go) so
-// corruption is detected before decoding; version 2 introduced the
-// columnar store encoding (wire.EncodeRelationColumnar); version-1 and
-// version-2 envelopes (headerless) still load.
+// corruption is detected before decoding, and stores relations in the
+// columnar encoding (wire.EncodeRelationColumnar). Load reads only this
+// version.
 const Version = 3
 
 type envelope struct {
@@ -108,9 +108,8 @@ func Save(w io.Writer, snap *core.StateSnapshot) error {
 	return writeEnvelope(w, payload)
 }
 
-// Load reads a snapshot from r, verifying the v3 header checksum when
-// present; corrupt or truncated input fails with an error matching
-// ErrCorrupt. Headerless v1/v2 envelopes still load.
+// Load reads a snapshot from r, verifying the v3 header checksum; corrupt,
+// truncated or headerless input fails with an error matching ErrCorrupt.
 func Load(r io.Reader) (*core.StateSnapshot, error) {
 	payload, err := readEnvelope(r)
 	if err != nil {
@@ -120,7 +119,7 @@ func Load(r io.Reader) (*core.StateSnapshot, error) {
 	if err := json.Unmarshal(payload, &env); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	if env.Version < 1 || env.Version > Version {
+	if env.Version != Version {
 		return nil, fmt.Errorf("persist: unsupported snapshot version %d", env.Version)
 	}
 	anns, err := decodeAnnotations(env.Annotations)

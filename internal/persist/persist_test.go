@@ -107,39 +107,20 @@ func TestLoadReturnsIndependentCopies(t *testing.T) {
 	}
 }
 
-// Version-1 envelopes (row-encoded relations) still load — old snapshots
-// on disk survive the columnar upgrade.
-func TestLoadVersion1RowEncoded(t *testing.T) {
-	env := `{"version": 1,
-		"store": {"T": {
-			"schema": {"name":"T","attrs":[{"name":"a","type":"int"},{"name":"b","type":"string"}]},
-			"sem": "bag",
-			"rows": [{"t":[{"k":"int","i":1},{"k":"string","s":"x"}],"n":2},
-			         {"t":[{"k":"int","i":2},{"k":"string","s":"y"}],"n":1}]}},
-		"last_processed": {"db1": 17},
-		"view_init": 5}`
-	got, err := Load(strings.NewReader(env))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sampleSnapshot(t).Store["T"]
-	if !got.Store["T"].Equal(want) {
-		t.Errorf("v1 row-encoded store:\n%svs\n%s", got.Store["T"], want)
-	}
-	if got.LastProcessed["db1"] != 17 || got.ViewInit != 5 {
-		t.Errorf("v1 metadata: ref′ %v, view_init %d", got.LastProcessed, got.ViewInit)
-	}
-}
-
 func TestLoadErrors(t *testing.T) {
-	if _, err := Load(strings.NewReader("not json")); err == nil {
+	if _, err := Load(strings.NewReader(frame("not json"))); err == nil {
 		t.Errorf("garbage must fail")
 	}
-	if _, err := Load(strings.NewReader(`{"version": 99}`)); err == nil {
-		t.Errorf("bad version must fail")
+	// Only the current payload version loads; v1/v2 layouts are retired.
+	for _, v := range []int{1, 2, 99} {
+		in := frame(fmt.Sprintf(`{"version": %d, "store": {}}`, v))
+		if _, err := Load(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "unsupported") {
+			t.Errorf("payload version %d: err = %v, want unsupported", v, err)
+		}
 	}
-	if _, err := Load(strings.NewReader(`{"version": 1, "store": {"T": {"schema": {"name":"T","attrs":[{"name":"a","type":"zzz"}]}, "sem":"bag"}}}`)); err == nil {
-		t.Errorf("bad attr type must fail")
+	if _, err := Load(strings.NewReader(frame(`{"version": 3, "store": {"T": {"schema": {"name":"T","attrs":[{"name":"a","type":"zzz"}]}, "sem":"bag"}}}`))); err == nil ||
+		!strings.Contains(err.Error(), "zzz") {
+		t.Errorf("bad attr type must fail: %v", err)
 	}
 	if err := Save(&bytes.Buffer{}, nil); err == nil {
 		t.Errorf("nil snapshot must fail")
@@ -200,9 +181,8 @@ func TestAnnotationsRoundTrip(t *testing.T) {
 		t.Errorf("annotations = %v, want nil", got.Annotations)
 	}
 
-	// Unknown materialization strings are rejected. Edit the headerless
-	// JSON payload (still loadable via the v1/v2 path) — mutating the v3
-	// framed form would trip the checksum before the decoder ever runs.
+	// Unknown materialization strings are rejected. Edit the JSON payload
+	// and frame it again, so the checksum matches and the decoder runs.
 	payload := plainEnv[strings.IndexByte(plainEnv, '\n')+1:]
 	verField := fmt.Sprintf(`"version": %d`, Version)
 	bad := strings.Replace(payload, verField,
@@ -210,7 +190,7 @@ func TestAnnotationsRoundTrip(t *testing.T) {
 	if bad == payload {
 		t.Fatalf("version field not found in envelope:\n%s", payload)
 	}
-	if _, err := Load(strings.NewReader(bad)); err == nil ||
+	if _, err := Load(strings.NewReader(frame(bad))); err == nil ||
 		!strings.Contains(err.Error(), "unknown materialization") {
 		t.Errorf("bad materialization accepted: %v", err)
 	}

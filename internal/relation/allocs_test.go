@@ -2,16 +2,16 @@ package relation
 
 import "testing"
 
-// The blocks backend must not build key strings on the tuple hot path:
+// Relations must not build key strings on the tuple hot path:
 // Add and Count on an unindexed relation hash the tuple's canonical
 // encoding in a stack buffer and touch only column vectors. These tests
 // pin that property so a regression (an escaping buffer, a closure that
 // heap-allocates, a map key materialization) fails loudly.
 
 func TestAddZeroAllocs(t *testing.T) {
-	r := NewWith(MustSchema("Z", []Attribute{
+	r := New(MustSchema("Z", []Attribute{
 		{"a", KindInt}, {"b", KindString}, {"c", KindInt},
-	}), Bag, Blocks)
+	}), Bag)
 	tp := T(7, "hot-path", 9)
 	r.Add(tp, 1) // warm: column growth, interning, table sizing
 
@@ -23,9 +23,9 @@ func TestAddZeroAllocs(t *testing.T) {
 }
 
 func TestCountZeroAllocs(t *testing.T) {
-	r := NewWith(MustSchema("Z", []Attribute{
+	r := New(MustSchema("Z", []Attribute{
 		{"a", KindInt}, {"b", KindString}, {"c", KindInt},
-	}), Bag, Blocks)
+	}), Bag)
 	present := T(7, "hot-path", 9)
 	absent := T(8, "missing", 1)
 	r.Add(present, 3)
@@ -49,7 +49,7 @@ func TestCountZeroAllocs(t *testing.T) {
 // Insert/Delete churn over an existing slot population also stays
 // allocation-free once the free list and table have warmed up.
 func TestChurnZeroAllocs(t *testing.T) {
-	r := NewWith(MustSchema("Z", []Attribute{{"a", KindInt}}), Bag, Blocks)
+	r := New(MustSchema("Z", []Attribute{{"a", KindInt}}), Bag)
 	tp := T(1)
 	r.Add(tp, 1)
 	r.Add(tp, -1) // warm the free list

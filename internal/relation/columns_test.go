@@ -73,7 +73,7 @@ func TestColumnsSpecialize(t *testing.T) {
 
 	// AddSlot is the per-atom primitive RelDelta.ApplyTo runs.
 	schema := MustSchema("X", []Attribute{{"i", KindInt}, {"f", KindFloat}, {"s", KindString}, {"b", KindBool}, {"n", KindInt}})
-	applied := NewWith(schema, Bag, Blocks)
+	applied := New(schema, Bag)
 	src.EachSlot(func(s int32, c int64) bool {
 		applied.AddSlot(src, s, c)
 		return true

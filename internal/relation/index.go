@@ -232,35 +232,23 @@ func (m *TupleMap) IndexOn(cols []int) *JoinIndex {
 }
 
 // EnsureIndex declares a resident join index over the named attributes
-// (see TupleMap.EnsureIndex). The rows backend keeps no resident indexes:
-// there the call only validates the attribute names, and every join
-// builds its index on the spot (NewJoinIndex).
+// (see TupleMap.EnsureIndex).
 func (r *Relation) EnsureIndex(attrs ...string) error {
 	positions, err := r.schema.Positions(attrs)
 	if err != nil {
 		return err
 	}
-	if r.tm != nil {
-		r.tm.EnsureIndex(positions)
-	}
+	r.tm.EnsureIndex(positions)
 	return nil
 }
 
 // IndexOn returns the resident index over exactly the given attribute
 // positions, or nil.
-func (r *Relation) IndexOn(positions []int) *JoinIndex {
-	if r.tm == nil {
-		return nil
-	}
-	return r.tm.IndexOn(positions)
-}
+func (r *Relation) IndexOn(positions []int) *JoinIndex { return r.tm.IndexOn(positions) }
 
 // IndexedAttrs lists the attribute sets of the resident indexes, in
 // declaration order.
 func (r *Relation) IndexedAttrs() [][]string {
-	if r.tm == nil {
-		return nil
-	}
 	names := r.schema.AttrNames()
 	out := make([][]string, len(r.tm.indexes))
 	for i, ix := range r.tm.indexes {
@@ -274,9 +262,6 @@ func (r *Relation) IndexedAttrs() [][]string {
 // CheckIndexes verifies every resident index against a brute-force scan
 // (quadratic; for tests and invariant checks at quiescence).
 func (r *Relation) CheckIndexes() error {
-	if r.tm == nil {
-		return nil
-	}
 	for _, ix := range r.tm.indexes {
 		if err := ix.check(); err != nil {
 			return fmt.Errorf("%s: %w", r.schema.Name(), err)
@@ -288,15 +273,7 @@ func (r *Relation) CheckIndexes() error {
 // NewJoinIndex builds a transient index over r's rows on the given
 // attribute positions — what a join does when r has no resident index
 // there. It reads every row once and leaves r untouched, so it is safe on
-// relations shared with concurrent readers. A row-backed relation is
-// copied into a private columnar map first.
+// relations shared with concurrent readers.
 func NewJoinIndex(r *Relation, positions []int) *JoinIndex {
-	tm := r.tm
-	if tm == nil {
-		tm = NewTupleMap(r.schema.Arity())
-		for _, rw := range r.rows {
-			tm.Add(rw.tuple, int64(rw.count), ModeSigned)
-		}
-	}
-	return newJoinIndex(tm, positions)
+	return newJoinIndex(r.tm, positions)
 }

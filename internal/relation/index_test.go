@@ -127,18 +127,18 @@ func TestIndexLockstep(t *testing.T) {
 
 // TestIndexSurvivesRelationLifecycle pins the property the old index
 // lacked: declarations and contents survive Clone and Clear, the
-// vectorized AddSlot / CopyInto / ProjectSelectInto paths maintain them,
-// and the rows backend accepts the declaration without keeping one.
+// and the vectorized AddSlot / CopyInto / ProjectSelectInto paths maintain
+// them.
 func TestIndexSurvivesRelationLifecycle(t *testing.T) {
 	schema := MustSchema("R", []Attribute{{"k", KindInt}, {"j", KindInt}})
-	r := NewWith(schema, Bag, Blocks)
+	r := New(schema, Bag)
 	if err := r.EnsureIndex("j"); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.EnsureIndex("nope"); err == nil {
 		t.Error("index on unknown attribute should fail")
 	}
-	src := NewWith(schema, Bag, Blocks)
+	src := New(schema, Bag)
 	for i := 0; i < 100; i++ {
 		src.Add(T(i, i%7), 1)
 	}
@@ -164,10 +164,6 @@ func TestIndexSurvivesRelationLifecycle(t *testing.T) {
 	c.Add(T(5, 3), 2)
 	if rows := probeRows(t, c, "j", Int(3)); len(rows) != 1 || rows[0].Count != 2 || c.CheckIndexes() != nil {
 		t.Errorf("after Clear: %v", rows)
-	}
-	rows := NewWith(schema, Bag, Rows)
-	if err := rows.EnsureIndex("j"); err != nil || rows.IndexOn([]int{1}) != nil || rows.IndexedAttrs() != nil {
-		t.Errorf("rows backend must accept and ignore the declaration")
 	}
 }
 

@@ -26,43 +26,21 @@ func (s Semantics) String() string {
 	return "bag"
 }
 
-type row struct {
-	tuple Tuple
-	count int
-}
-
 // Relation is an in-memory relation instance with set or bag semantics and
-// optional join indexes on attribute subsets (index.go).
-//
-// Two physical backends implement the same observable behavior: the
-// columnar Blocks backend (a TupleMap of type-specialized column vectors)
-// and the original Rows backend (map[string]*row keyed by canonical tuple
-// encodings), retained as a differential oracle. Exactly one of tm / rows
-// is non-nil.
+// optional join indexes on attribute subsets (index.go). Its tuples live in
+// a TupleMap: type-specialized column vectors plus a multiplicity column,
+// hashed by canonical key encoding.
 type Relation struct {
 	schema *Schema
 	sem    Semantics
-	bk     Backend
-	rows   map[string]*row // Rows backend
-	tm     *TupleMap       // Blocks backend
-	card   int             // total multiplicity
+	tm     *TupleMap
+	card   int // total multiplicity
 }
 
 // New creates an empty relation over the given schema with the given
-// semantics, using the process-default backend.
+// semantics.
 func New(schema *Schema, sem Semantics) *Relation {
-	return NewWith(schema, sem, DefaultBackend())
-}
-
-// NewWith creates an empty relation on an explicit backend.
-func NewWith(schema *Schema, sem Semantics, bk Backend) *Relation {
-	r := &Relation{schema: schema, sem: sem, bk: bk}
-	if bk == Rows {
-		r.rows = make(map[string]*row)
-	} else {
-		r.tm = NewTupleMap(schema.Arity())
-	}
-	return r
+	return &Relation{schema: schema, sem: sem, tm: NewTupleMap(schema.Arity())}
 }
 
 // NewSet creates an empty set-semantics relation.
@@ -77,36 +55,20 @@ func (r *Relation) Schema() *Schema { return r.schema }
 // Semantics returns the relation's storage semantics.
 func (r *Relation) Semantics() Semantics { return r.sem }
 
-// Backend returns the relation's physical backend.
-func (r *Relation) Backend() Backend { return r.bk }
-
-// Blockmap exposes the underlying columnar store when the relation is
-// block-backed (nil otherwise). Intended for the vectorized kernels in
-// internal/delta; mutating through it bypasses cardinality maintenance.
+// Blockmap exposes the underlying columnar store. Intended for the
+// vectorized kernels in internal/delta; mutating through it bypasses
+// cardinality maintenance.
 func (r *Relation) Blockmap() *TupleMap { return r.tm }
 
 // Len returns the number of distinct tuples.
-func (r *Relation) Len() int {
-	if r.tm != nil {
-		return r.tm.Len()
-	}
-	return len(r.rows)
-}
+func (r *Relation) Len() int { return r.tm.Len() }
 
 // Card returns the total cardinality including multiplicities (equal to
 // Len for set relations).
 func (r *Relation) Card() int { return r.card }
 
 // Count returns the multiplicity of t (0 if absent).
-func (r *Relation) Count(t Tuple) int {
-	if r.tm != nil {
-		return int(r.tm.Get(t))
-	}
-	if rw, ok := r.rows[t.Key()]; ok {
-		return rw.count
-	}
-	return 0
-}
+func (r *Relation) Count(t Tuple) int { return int(r.tm.Get(t)) }
 
 // Contains reports whether t occurs at least once.
 func (r *Relation) Contains(t Tuple) bool { return r.Count(t) > 0 }
@@ -127,45 +89,15 @@ func (r *Relation) Delete(t Tuple) bool {
 
 // Add adjusts the multiplicity of t by n (which may be negative), clamping
 // the result at zero and, for sets, at one. It returns the actual applied
-// change and the new multiplicity. On the blocks backend this path builds
-// no key string and performs zero per-tuple allocations.
+// change and the new multiplicity. The path builds no key string and
+// performs zero per-tuple allocations.
 func (r *Relation) Add(t Tuple, n int) (applied, newCount int) {
 	if len(t) != r.schema.Arity() {
 		panic(fmt.Sprintf("relation: arity mismatch inserting into %s: tuple %s", r.schema.Name(), t))
 	}
-	if r.tm != nil {
-		a, nc := r.tm.Add(t, int64(n), r.addMode())
-		r.card += int(a)
-		return int(a), int(nc)
-	}
-	key := t.Key()
-	rw := r.rows[key]
-	old := 0
-	if rw != nil {
-		old = rw.count
-	}
-	target := old + n
-	if target < 0 {
-		target = 0
-	}
-	if r.sem == Set && target > 1 {
-		target = 1
-	}
-	applied = target - old
-	if applied == 0 {
-		return 0, old
-	}
-	r.card += applied
-	if target == 0 {
-		delete(r.rows, key)
-		return applied, 0
-	}
-	if rw == nil {
-		rw = &row{tuple: t.Clone()}
-		r.rows[key] = rw
-	}
-	rw.count = target
-	return applied, target
+	a, nc := r.tm.Add(t, int64(n), r.addMode())
+	r.card += int(a)
+	return int(a), int(nc)
 }
 
 // SetCount forces the multiplicity of t to n (>= 0).
@@ -177,17 +109,9 @@ func (r *Relation) SetCount(t Tuple, n int) {
 // Each iterates over distinct rows; fn receives each tuple and its
 // multiplicity, returning false to stop early. The iteration order is
 // unspecified. The callback must not mutate the relation. Tuples handed
-// out are safe to retain on every backend.
+// out are safe to retain.
 func (r *Relation) Each(fn func(t Tuple, count int) bool) {
-	if r.tm != nil {
-		r.tm.Each(func(t Tuple, n int64) bool { return fn(t, int(n)) })
-		return
-	}
-	for _, rw := range r.rows {
-		if !fn(rw.tuple, rw.count) {
-			return
-		}
-	}
+	r.tm.Each(func(t Tuple, n int64) bool { return fn(t, int(n)) })
 }
 
 // Rows returns all distinct rows in deterministic (sorted) order.
@@ -213,53 +137,27 @@ func (r *Relation) Tuples() []Tuple {
 }
 
 // Clone returns a deep copy of the relation, resident join indexes
-// included. On the blocks backend this is a handful of slice copies, which
-// is what makes copy-on-write store versions cheap for large relations.
+// included. This is a handful of slice copies, which is what makes
+// copy-on-write store versions cheap for large relations.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{schema: r.schema, sem: r.sem, bk: r.bk, card: r.card}
-	if r.tm != nil {
-		c.tm = r.tm.Clone()
-		return c
-	}
-	c.rows = make(map[string]*row, len(r.rows))
-	for key, rw := range r.rows {
-		c.rows[key] = &row{tuple: rw.tuple.Clone(), count: rw.count}
-	}
-	return c
+	return &Relation{schema: r.schema, sem: r.sem, tm: r.tm.Clone(), card: r.card}
 }
 
 // Clear removes all tuples, keeping schema and index definitions.
 func (r *Relation) Clear() {
-	if r.tm != nil {
-		r.tm.Clear()
-	} else {
-		r.rows = make(map[string]*row)
-	}
+	r.tm.Clear()
 	r.card = 0
 }
 
 // Equal reports whether two relations have identical contents (same tuples
-// with the same multiplicities). Schemas are compared by shape only; the
-// backends need not match.
+// with the same multiplicities). Schemas are compared by shape only.
 func (r *Relation) Equal(o *Relation) bool {
 	if r.Len() != o.Len() || r.Card() != o.Card() {
 		return false
 	}
-	if r.tm != nil && o.tm != nil {
-		eq := true
-		r.tm.EachSlot(func(s int32, n int64) bool {
-			if o.tm.GetFrom(r.tm, s) != n {
-				eq = false
-			}
-			return eq
-		})
-		return eq
-	}
 	eq := true
-	r.Each(func(t Tuple, n int) bool {
-		if o.Count(t) != n {
-			eq = false
-		}
+	r.tm.EachSlot(func(s int32, n int64) bool {
+		eq = o.tm.GetFrom(r.tm, s) == n
 		return eq
 	})
 	return eq
@@ -271,21 +169,9 @@ func (r *Relation) EqualAsSet(o *Relation) bool {
 	if r.Len() != o.Len() {
 		return false
 	}
-	if r.tm != nil && o.tm != nil {
-		eq := true
-		r.tm.EachSlot(func(s int32, n int64) bool {
-			if o.tm.GetFrom(r.tm, s) == 0 {
-				eq = false
-			}
-			return eq
-		})
-		return eq
-	}
 	eq := true
-	r.Each(func(t Tuple, n int) bool {
-		if !o.Contains(t) {
-			eq = false
-		}
+	r.tm.EachSlot(func(s int32, _ int64) bool {
+		eq = o.tm.GetFrom(r.tm, s) != 0
 		return eq
 	})
 	return eq
@@ -306,52 +192,109 @@ func (r *Relation) String() string {
 	return b.String()
 }
 
-// MemoryFootprint estimates the resident bytes of the relation's tuple
-// data. Used by the §5.3 space-vs-performance experiments; it is an
-// estimate of payload size, not Go heap overhead. Both backends use the
-// same accounting formula so annotation-advisor decisions do not depend
-// on the physical representation.
+// MemoryFootprint is the §5.3 space accounting model the annotation
+// advisor and the space-vs-performance experiments read: per distinct
+// tuple, its canonical key length plus a 16-byte row header, and per value
+// 24 bytes plus string bytes. It is a fixed model, not the resident bytes
+// of the columnar store (which holds unboxed ints and floats in 8), so
+// advisor decisions do not move when the representation does.
 func (r *Relation) MemoryFootprint() int {
 	total := 0
-	if r.tm != nil {
-		var arr [128]byte
-		r.tm.EachSlot(func(s int32, n int64) bool {
-			b := r.tm.appendKeyAt(arr[:0], s)
-			total += len(b) + 16
-			for c := 0; c < r.tm.Arity(); c++ {
-				total += r.tm.cols[c].payloadBytes(int(s))
-			}
-			return true
-		})
-		return total
-	}
-	for key, rw := range r.rows {
-		total += len(key) + 16 // key string + row header estimate
-		for _, v := range rw.tuple {
-			total += 24
-			if v.Kind() == KindString {
-				total += len(v.AsString())
-			}
+	var arr [128]byte
+	r.tm.EachSlot(func(s int32, n int64) bool {
+		b := r.tm.appendKeyAt(arr[:0], s)
+		total += len(b) + 16
+		for c := 0; c < r.tm.Arity(); c++ {
+			total += r.tm.cols[c].payloadBytes(int(s))
 		}
-	}
+		return true
+	})
 	return total
 }
 
 // Distinct returns a new set-semantics relation with the distinct tuples
-// of r, on the same backend.
+// of r.
 func (r *Relation) Distinct() *Relation {
-	out := NewWith(r.schema, Set, r.bk)
-	if r.tm != nil {
-		r.tm.EachSlot(func(s int32, n int64) bool {
-			out.tm.AddFrom(r.tm, s, 1, ModeSet)
-			return true
-		})
-		out.card = out.tm.Len()
-		return out
-	}
-	for key, rw := range r.rows {
-		out.rows[key] = &row{tuple: rw.tuple.Clone(), count: 1}
-		out.card++
-	}
+	out := New(r.schema, Set)
+	r.tm.EachSlot(func(s int32, n int64) bool {
+		out.tm.AddFrom(r.tm, s, 1, ModeSet)
+		return true
+	})
+	out.card = out.tm.Len()
 	return out
+}
+
+// addMode maps the relation's semantics to TupleMap count arithmetic.
+func (r *Relation) addMode() AddMode {
+	if r.sem == Set {
+		return ModeSet
+	}
+	return ModeBag
+}
+
+// AddSlot adds n occurrences of src's slot tuple into r under r's
+// semantics, maintaining cardinality (and, inside the map, any resident
+// join index), and returns the applied change. This is the slot-wise apply
+// primitive deltas use.
+func (r *Relation) AddSlot(src *TupleMap, slot int32, n int64) int64 {
+	a, _ := r.tm.AddFrom(src, slot, n, r.addMode())
+	r.card += int(a)
+	return a
+}
+
+// CopyInto adds every row of src into dst, accumulating multiplicities
+// under dst's semantics. The copy is vectorized: stored hashes are reused
+// and values move column-to-column without materializing tuples or key
+// strings. Arities must match.
+func CopyInto(dst, src *Relation) {
+	mode := dst.addMode()
+	src.tm.EachSlot(func(s int32, n int64) bool {
+		a, _ := dst.tm.AddFrom(src.tm, s, n, mode)
+		dst.card += int(a)
+		return true
+	})
+}
+
+// Predicate is a compiled selection condition (algebra.Compile builds
+// them). Bind specializes it to m's current column representations and
+// returns a test over m's live slots, valid until m is next mutated; Eval
+// tests a materialized tuple. Both give the same answer for the same row.
+type Predicate interface {
+	Bind(m *TupleMap) func(slot int32) (bool, error)
+	Eval(t Tuple) (bool, error)
+}
+
+// ProjectSelectInto evaluates a select-project block from src into dst:
+// rows passing pred (nil selects everything) are projected onto positions
+// (nil keeps every column) and added to dst. No tuple is built: pred reads
+// src's columns in place and passing rows move column-to-column. The first
+// error pred reports stops the scan and is returned.
+func ProjectSelectInto(dst, src *Relation, positions []int, pred Predicate) error {
+	var test func(int32) (bool, error)
+	if pred != nil {
+		test = pred.Bind(src.tm)
+	}
+	mode := dst.addMode()
+	for s, n := range src.tm.counts {
+		if n == 0 {
+			continue
+		}
+		if test != nil {
+			ok, err := test(int32(s))
+			if err != nil {
+				return err
+			}
+			if !ok {
+				continue
+			}
+		}
+		var a int64
+		if positions == nil {
+			a, _ = dst.tm.AddFrom(src.tm, int32(s), n, mode)
+		} else {
+			a, _ = dst.tm.AddFromProjected(src.tm, int32(s), positions, n, mode)
+		}
+		dst.card += int(a)
+	}
+	return nil
 }

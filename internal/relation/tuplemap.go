@@ -1,6 +1,6 @@
 package relation
 
-// TupleMap is the columnar tuple store behind the blocks backend: a
+// TupleMap is the columnar tuple store behind every Relation: a
 // signed-count map from tuples to int64 counts laid out as type
 // specialized column vectors (one per attribute) plus a multiplicity
 // column, indexed by an open-addressed hash table over the tuples'
@@ -388,8 +388,7 @@ func (m *TupleMap) Each(fn func(t Tuple, n int64) bool) {
 
 // Clone deep-copies the map. Column vectors, the count/hash vectors, the
 // open-addressed table and the join indexes copy as whole slices — the
-// structural reason copy-on-write cloning of large block-backed stores is
-// cheap.
+// structural reason copy-on-write cloning of large stores is cheap.
 func (m *TupleMap) Clone() *TupleMap {
 	out := &TupleMap{
 		arity:  m.arity,

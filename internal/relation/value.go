@@ -1,7 +1,8 @@
 // Package relation implements the relational substrate used throughout the
 // Squirrel reproduction: typed values, tuples, schemas with keys, and
 // relations with either set or bag (multiset) semantics, including hash
-// indexes for join and probe support.
+// indexes for join and probe support. Every relation stores its tuples in
+// one columnar representation, the TupleMap (tuplemap.go).
 //
 // The paper (Hull & Zhou, SIGMOD 1996) works in the relational model with
 // attribute-based algebra; some mediator relations are stored as bags to
@@ -267,7 +268,7 @@ func floatKeyEqual(a, b float64) bool {
 
 // valueKeyEqual reports whether two values produce identical canonical
 // key encodings (appendKey) — the equivalence the hashed columnar lookup
-// uses, which by construction matches the string-keyed row backend.
+// uses, which by construction matches equality of Tuple.Key strings.
 func valueKeyEqual(a, b Value) bool {
 	switch a.kind {
 	case KindNull:

@@ -86,9 +86,9 @@ func projectDeltaTo(dc *delta.RelDelta, full *relation.Schema, narrow *relation.
 // over the sibling's state and applies the sibling's σ/π and, at the end,
 // the residual condition to the matched rows only — the sibling is never
 // copied or scanned. A sibling whose state carries no resident index on
-// the key (a VAP temporary, a row-backed relation, a hybrid store lacking
-// the join attribute) gets one built on the spot for this firing, so the
-// only difference between the two is whether the index already exists.
+// the key (a VAP temporary, a hybrid store lacking the join attribute)
+// gets one built on the spot for this firing, so the only difference
+// between the two is whether the index already exists.
 func (v *VDP) propagateSPJ(n *Node, d SPJ, child string, childSchema *relation.Schema, dc *delta.RelDelta, resolve Resolver, naive bool) (*delta.RelDelta, error) {
 	out := delta.NewRel(n.Name)
 	// The child's own state is needed only for self-joins (leaf children,

@@ -139,9 +139,8 @@ func (v *VDP) JoinIndexes(node string) [][]string { return v.indexes[node] }
 
 // JoinRowCounts reports how many sibling rows rule firings have read so
 // far: probed counts rows reached through a resident join index, scanned
-// counts rows read to build an index on the spot (a temporary, a row-backed
-// relation, a store lacking the join attribute, or a join with no equality
-// to probe on). The counters are cumulative over the plan's lifetime and
+// counts rows read to build an index on the spot (a temporary, a store
+// lacking the join attribute, or a join with no equality to probe on). The counters are cumulative over the plan's lifetime and
 // safe to read concurrently with firings.
 func (v *VDP) JoinRowCounts() (probed, scanned int64) {
 	return v.probedRows.Load(), v.scannedRows.Load()

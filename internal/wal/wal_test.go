@@ -518,39 +518,47 @@ func TestManagerPeriodicCompaction(t *testing.T) {
 }
 
 // TestRecoverFallsBackToOlderCheckpoint: a corrupt newest checkpoint is
-// skipped and recovery restarts from its predecessor plus the log.
+// skipped and recovery restarts from its predecessor plus the log —
+// whether the damage leaves the header readable or not.
 func TestRecoverFallsBackToOlderCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	e := newWalEnv(t)
-	med1 := e.startFresh(t)
-	base := med1.StoreVersion()
-	mgr1 := openManager(t, dir, nil)
-	if err := mgr1.Start(med1); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		e.commit(t, med1)
-	}
-	want := snapBytes(t, med1)
-	wantVersion := med1.StoreVersion()
-	mgr1.Kill()
+	for name, bogusData := range map[string][]byte{
+		"checksum mismatch": []byte("%SQRLSNAP v3 crc32c=deadbeef len=4\nxxxx"),
+		"zero filled":       make([]byte, 4096),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			e := newWalEnv(t)
+			med1 := e.startFresh(t)
+			base := med1.StoreVersion()
+			mgr1 := openManager(t, dir, nil)
+			if err := mgr1.Start(med1); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				e.commit(t, med1)
+			}
+			want := snapBytes(t, med1)
+			wantVersion := med1.StoreVersion()
+			mgr1.Kill()
 
-	// A corrupt "newer" checkpoint appears (torn at rest).
-	bogus := filepath.Join(dir, fmt.Sprintf("checkpoint-%016d.snap", wantVersion+10))
-	if err := os.WriteFile(bogus, []byte("%SQRLSNAP v3 crc32c=deadbeef len=4\nxxxx"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			// A corrupt "newer" checkpoint appears (damaged at rest).
+			bogus := filepath.Join(dir, fmt.Sprintf("checkpoint-%016d.snap", wantVersion+10))
+			if err := os.WriteFile(bogus, bogusData, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	med2 := e.newMediator(t)
-	info, err := openManager(t, dir, nil).Recover(med2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.CheckpointVersion != base || info.Version != wantVersion || info.Replayed != 3 {
-		t.Fatalf("recovery info %+v, want fallback to ckpt %d and full replay", info, base)
-	}
-	if got := snapBytes(t, med2); !bytes.Equal(got, want) {
-		t.Fatal("recovered state differs after checkpoint fallback")
+			med2 := e.newMediator(t)
+			info, err := openManager(t, dir, nil).Recover(med2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.CheckpointVersion != base || info.Version != wantVersion || info.Replayed != 3 {
+				t.Fatalf("recovery info %+v, want fallback to ckpt %d and full replay", info, base)
+			}
+			if got := snapBytes(t, med2); !bytes.Equal(got, want) {
+				t.Fatal("recovered state differs after checkpoint fallback")
+			}
+		})
 	}
 }
 

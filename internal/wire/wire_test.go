@@ -65,40 +65,41 @@ func TestColumnarRelationRoundTrip(t *testing.T) {
 	s := relation.MustSchema("R", []relation.Attribute{
 		{Name: "a", Type: relation.KindInt}, {Name: "b", Type: relation.KindString},
 		{Name: "c", Type: relation.KindFloat}, {Name: "d", Type: relation.KindNull}})
-	for _, bk := range []relation.Backend{relation.Rows, relation.Blocks} {
-		t.Run("backend="+bk.String(), func(t *testing.T) {
-			r := relation.NewWith(s, relation.Bag, bk)
-			r.Add(relation.T(1, "x", 2.5, nil), 2)
-			r.Add(relation.T(2, "y", -0.25, true), 1)
-			r.Add(relation.T(-7, "z", 0.0, 3), 4)
-			enc := EncodeRelationColumnar(r)
-			if len(enc.Rows) != 0 || len(enc.Cols) != 4 || len(enc.Counts) != 3 {
-				t.Fatalf("columnar encode shape: rows=%d cols=%d counts=%d",
-					len(enc.Rows), len(enc.Cols), len(enc.Counts))
-			}
-			if enc.Cols[0].Kind != "int" || enc.Cols[1].Kind != "string" ||
-				enc.Cols[2].Kind != "float" || enc.Cols[3].Kind != "mixed" {
-				t.Fatalf("column kinds = %q %q %q %q",
-					enc.Cols[0].Kind, enc.Cols[1].Kind, enc.Cols[2].Kind, enc.Cols[3].Kind)
-			}
-			got, err := enc.Decode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(r) || got.String() != r.String() {
-				t.Errorf("columnar round trip:\n%svs\n%s", got, r)
-			}
+	// The subtest names the representation under test: the columnar
+	// blocks form, the only one relations and deltas have.
+	t.Run("backend=blocks", func(t *testing.T) {
+		r := relation.NewBag(s)
+		r.Add(relation.T(1, "x", 2.5, nil), 2)
+		r.Add(relation.T(2, "y", -0.25, true), 1)
+		r.Add(relation.T(-7, "z", 0.0, 3), 4)
+		enc := EncodeRelationColumnar(r)
+		if len(enc.Rows) != 0 || len(enc.Cols) != 4 || len(enc.Counts) != 3 {
+			t.Fatalf("columnar encode shape: rows=%d cols=%d counts=%d",
+				len(enc.Rows), len(enc.Cols), len(enc.Counts))
+		}
+		if enc.Cols[0].Kind != "int" || enc.Cols[1].Kind != "string" ||
+			enc.Cols[2].Kind != "float" || enc.Cols[3].Kind != "mixed" {
+			t.Fatalf("column kinds = %q %q %q %q",
+				enc.Cols[0].Kind, enc.Cols[1].Kind, enc.Cols[2].Kind, enc.Cols[3].Kind)
+		}
+		got, err := enc.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(r) || got.String() != r.String() {
+			t.Errorf("columnar round trip:\n%svs\n%s", got, r)
+		}
 
-			// Empty relation round-trips too.
-			empty, err := EncodeRelationColumnar(relation.NewWith(s, relation.Set, bk)).Decode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if empty.Len() != 0 || empty.Semantics() != relation.Set {
-				t.Errorf("empty columnar round trip: len=%d sem=%v", empty.Len(), empty.Semantics())
-			}
-		})
-	}
+		// Empty relation round-trips too.
+		empty, err := EncodeRelationColumnar(relation.NewSet(s)).Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if empty.Len() != 0 || empty.Semantics() != relation.Set {
+			t.Errorf("empty columnar round trip: len=%d sem=%v", empty.Len(), empty.Semantics())
+		}
+	})
+
 	// Malformed columnar payloads are rejected, not silently truncated.
 	enc := EncodeRelationColumnar(func() *relation.Relation {
 		r := relation.NewBag(s)
@@ -132,37 +133,37 @@ func TestDeltaRoundTrip(t *testing.T) {
 }
 
 func TestRelDeltaColumnarRoundTrip(t *testing.T) {
-	for _, bk := range []relation.Backend{relation.Rows, relation.Blocks} {
-		t.Run("backend="+bk.String(), func(t *testing.T) {
-			d := delta.NewRelWith("R", bk)
-			d.Add(relation.T(1, "x", 2.5), 2)
-			d.Add(relation.T(2, "y", -0.25), -1) // deletion atoms keep their sign
-			d.Add(relation.T(-7, "z", 0.0), 4)
-			enc := EncodeRelDeltaColumnar(d)
-			if enc.Rel != "R" || len(enc.Cols) != 3 || len(enc.Counts) != 3 {
-				t.Fatalf("encode shape: rel=%q cols=%d counts=%d", enc.Rel, len(enc.Cols), len(enc.Counts))
-			}
-			if enc.Cols[0].Kind != "int" || enc.Cols[1].Kind != "string" || enc.Cols[2].Kind != "float" {
-				t.Fatalf("column kinds = %q %q %q", enc.Cols[0].Kind, enc.Cols[1].Kind, enc.Cols[2].Kind)
-			}
-			got, err := enc.Decode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Rel() != "R" || !got.Equal(d) {
-				t.Errorf("delta columnar round trip:\n%svs\n%s", got, d)
-			}
+	// The subtest names the representation under test: the columnar
+	// blocks form, the only one relations and deltas have.
+	t.Run("backend=blocks", func(t *testing.T) {
+		d := delta.NewRel("R")
+		d.Add(relation.T(1, "x", 2.5), 2)
+		d.Add(relation.T(2, "y", -0.25), -1) // deletion atoms keep their sign
+		d.Add(relation.T(-7, "z", 0.0), 4)
+		enc := EncodeRelDeltaColumnar(d)
+		if enc.Rel != "R" || len(enc.Cols) != 3 || len(enc.Counts) != 3 {
+			t.Fatalf("encode shape: rel=%q cols=%d counts=%d", enc.Rel, len(enc.Cols), len(enc.Counts))
+		}
+		if enc.Cols[0].Kind != "int" || enc.Cols[1].Kind != "string" || enc.Cols[2].Kind != "float" {
+			t.Fatalf("column kinds = %q %q %q", enc.Cols[0].Kind, enc.Cols[1].Kind, enc.Cols[2].Kind)
+		}
+		got, err := enc.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Rel() != "R" || !got.Equal(d) {
+			t.Errorf("delta columnar round trip:\n%svs\n%s", got, d)
+		}
 
-			// Empty delta round-trips to an empty delta.
-			empty, err := EncodeRelDeltaColumnar(delta.NewRelWith("E", bk)).Decode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if empty.Rel() != "E" || !empty.IsEmpty() {
-				t.Errorf("empty delta round trip: rel=%q len=%d", empty.Rel(), empty.Len())
-			}
-		})
-	}
+		// Empty delta round-trips to an empty delta.
+		empty, err := EncodeRelDeltaColumnar(delta.NewRel("E")).Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if empty.Rel() != "E" || !empty.IsEmpty() {
+			t.Errorf("empty delta round trip: rel=%q len=%d", empty.Rel(), empty.Len())
+		}
+	})
 
 	// Malformed payloads are rejected, not silently misread.
 	good := EncodeRelDeltaColumnar(func() *delta.RelDelta {

@@ -60,10 +60,6 @@ type (
 	Semantics = relation.Semantics
 	// Row pairs a tuple with its multiplicity.
 	Row = relation.Row
-	// RelationBackend selects a Relation's physical storage: Blocks
-	// (columnar, the default) or Rows (the boxed-tuple reference
-	// implementation kept as a differential oracle).
-	RelationBackend = relation.Backend
 )
 
 // Value kinds and semantics constants.
@@ -75,11 +71,6 @@ const (
 	KindString = relation.KindString
 	Set        = relation.Set
 	Bag        = relation.Bag
-	// Blocks is the columnar relation backend (type-specialized column
-	// vectors plus a multiplicity column); Rows is the row-oriented
-	// reference backend.
-	Blocks = relation.Blocks
-	Rows   = relation.Rows
 )
 
 // Value and schema constructors.
@@ -95,16 +86,8 @@ var (
 	// NewSchema and MustSchema build relation schemas.
 	NewSchema  = relation.NewSchema
 	MustSchema = relation.MustSchema
-	// NewRelation builds an empty relation on the process-default backend.
+	// NewRelation builds an empty relation.
 	NewRelation = relation.New
-	// NewRelationWith builds an empty relation on an explicit backend.
-	NewRelationWith = relation.NewWith
-	// SetRelationBackend / DefaultRelationBackend control the process-wide
-	// default storage backend for newly created relations and deltas.
-	SetRelationBackend     = relation.SetDefaultBackend
-	DefaultRelationBackend = relation.DefaultBackend
-	// ParseRelationBackend parses "blocks" or "rows".
-	ParseRelationBackend = relation.ParseBackend
 )
 
 // Delta machinery (§6.2 of the paper).
