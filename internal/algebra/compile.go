@@ -82,6 +82,10 @@ func resolve(e Expr, schema *relation.Schema) *cexpr {
 		if i, ok := schema.AttrIndex(x.Name); ok {
 			c.col = i
 		}
+	case In:
+		if i, ok := schema.AttrIndex(x.Attr); ok {
+			c.col = i
+		}
 	case Arith:
 		kids = []Expr{x.L, x.R}
 	case Cmp:
@@ -152,6 +156,8 @@ func (c *cexpr) boolean(m *relation.TupleMap, ctx string) boolFn {
 			ok, err := f(t, s)
 			return !ok && err == nil, err
 		}
+	case In:
+		return c.member(m, e)
 	}
 	v := c.value(m)
 	return func(t relation.Tuple, s int32) (bool, error) {
@@ -194,7 +200,7 @@ func (c *cexpr) value(m *relation.TupleMap) valFn {
 			}
 			return arith(e.Op, lv, rv)
 		}
-	case Cmp, And, Or, Not:
+	case Cmp, And, Or, Not, In:
 		f := c.boolean(m, "")
 		return func(t relation.Tuple, s int32) (relation.Value, error) {
 			ok, err := f(t, s)
@@ -263,6 +269,114 @@ func (c *cexpr) columnCmp(m *relation.TupleMap, op CmpOp) boolFn {
 		return func(_ relation.Tuple, s int32) (bool, error) { return truth[cmpFloat(floats[s], y)+1], nil }
 	}
 	return nil
+}
+
+// member builds e over c's column: one valueSet probe per row, reading an
+// int or float column of m in place.
+func (c *cexpr) member(m *relation.TupleMap, e In) boolFn {
+	if len(e.Values) == 0 {
+		return func(relation.Tuple, int32) (bool, error) { return false, nil }
+	}
+	col := c.col
+	if col < 0 {
+		err := fmt.Errorf("algebra: unknown attribute %q", e.Attr)
+		return func(relation.Tuple, int32) (bool, error) { return false, err }
+	}
+	set := newValueSet(e.Values)
+	if m == nil {
+		return func(t relation.Tuple, _ int32) (bool, error) { return set.has(t[col]), nil }
+	}
+	if ints, ok := m.IntColumn(col); ok {
+		return func(_ relation.Tuple, s int32) (bool, error) { return set.hasInt(ints[s]), nil }
+	}
+	if floats, ok := m.FloatColumn(col); ok {
+		return func(_ relation.Tuple, s int32) (bool, error) { return set.hasFloat(floats[s]), nil }
+	}
+	return func(_ relation.Tuple, s int32) (bool, error) { return set.has(m.ValueAt(s, col)), nil }
+}
+
+// valueSet answers "does some member Value.Equal v" in O(1). Value.Equal
+// is not an equivalence on numbers — an int equals a float when its
+// float64 conversion does, ints compare exactly among themselves, and
+// NaN equals every number — so numbers are kept three ways: the int
+// members (exact, for int rows), the float members (for both kinds of
+// row) and every numeric member as a float64 (for float rows).
+type valueSet struct {
+	null, nan, numeric bool
+	bools              [2]bool
+	strs               map[string]struct{}
+	ints               map[int64]struct{}
+	floats, asFloat    map[float64]struct{}
+}
+
+func newValueSet(vals []relation.Value) *valueSet {
+	s := &valueSet{
+		strs: map[string]struct{}{}, ints: map[int64]struct{}{},
+		floats: map[float64]struct{}{}, asFloat: map[float64]struct{}{},
+	}
+	for _, v := range vals {
+		switch v.Kind() {
+		case relation.KindNull:
+			s.null = true
+		case relation.KindBool:
+			if v.AsBool() {
+				s.bools[1] = true
+			} else {
+				s.bools[0] = true
+			}
+		case relation.KindString:
+			s.strs[v.AsString()] = struct{}{}
+		case relation.KindInt:
+			s.numeric = true
+			s.ints[v.AsInt()] = struct{}{}
+			s.asFloat[v.AsFloat()] = struct{}{}
+		case relation.KindFloat:
+			s.numeric = true
+			if f := v.AsFloat(); f != f {
+				s.nan = true
+			} else {
+				s.floats[f] = struct{}{}
+				s.asFloat[f] = struct{}{}
+			}
+		}
+	}
+	return s
+}
+
+func (s *valueSet) has(v relation.Value) bool {
+	switch v.Kind() {
+	case relation.KindNull:
+		return s.null
+	case relation.KindBool:
+		if v.AsBool() {
+			return s.bools[1]
+		}
+		return s.bools[0]
+	case relation.KindString:
+		_, ok := s.strs[v.AsString()]
+		return ok
+	case relation.KindInt:
+		return s.hasInt(v.AsInt())
+	case relation.KindFloat:
+		return s.hasFloat(v.AsFloat())
+	}
+	return false
+}
+
+func (s *valueSet) hasInt(x int64) bool {
+	if _, ok := s.ints[x]; ok || s.nan {
+		return true
+	}
+	_, ok := s.floats[float64(x)]
+	return ok
+}
+
+func (s *valueSet) hasFloat(x float64) bool {
+	if x != x || s.nan {
+		return s.numeric
+	}
+	_, ok := s.asFloat[x]
+	return ok
 }
 
 // cmpFloat is Value.Compare on two floats: unordered (NaN) compares 0.

@@ -58,9 +58,29 @@ func genValue(c chooser) relation.Value {
 	return relation.Null()
 }
 
-func genAttr(c chooser) Expr {
+func genAttrName(c chooser) string {
 	names := []string{"i", "i", "f", "f", "s", "b", "n", "m", "zz"}
-	return A(names[c.Intn(len(names))])
+	return names[c.Intn(len(names))]
+}
+
+func genAttr(c chooser) Expr { return A(genAttrName(c)) }
+
+// genIn draws a membership test whose list mixes int and float spellings
+// of one number, ±0, big ints and NULL with the ordinary values.
+func genIn(c chooser) Expr {
+	vals := make([]relation.Value, c.Intn(5))
+	for i := range vals {
+		switch c.Intn(4) {
+		case 0:
+			n := someInts[c.Intn(len(someInts))]
+			vals[i] = relation.Float(float64(n))
+		case 1:
+			vals[i] = relation.Float(math.Copysign(0, -1))
+		default:
+			vals[i] = genValue(c)
+		}
+	}
+	return In{Attr: genAttrName(c), Values: vals}
 }
 
 func genLeaf(c chooser) Expr {
@@ -97,6 +117,8 @@ func genExpr(c chooser, depth int) Expr {
 		return Or{Terms: terms}
 	case 7:
 		return Not{Term: genExpr(c, depth-1)}
+	case 8:
+		return genIn(c)
 	}
 	return genLeaf(c)
 }
@@ -135,17 +157,51 @@ func compileFixture(t testing.TB) *relation.TupleMap {
 	return m
 }
 
+// orOfEq rewrites every In of e into its defining Or of equalities, the
+// reference the compiled membership test is held to.
+func orOfEq(e Expr) Expr {
+	switch x := e.(type) {
+	case In:
+		terms := make([]Expr, len(x.Values))
+		for i, v := range x.Values {
+			terms[i] = Eq(A(x.Attr), Const{Value: v})
+		}
+		return Or{Terms: terms}
+	case Arith:
+		return Arith{Op: x.Op, L: orOfEq(x.L), R: orOfEq(x.R)}
+	case Cmp:
+		return Cmp{Op: x.Op, L: orOfEq(x.L), R: orOfEq(x.R)}
+	case And:
+		terms := make([]Expr, len(x.Terms))
+		for i, t := range x.Terms {
+			terms[i] = orOfEq(t)
+		}
+		return And{Terms: terms}
+	case Or:
+		terms := make([]Expr, len(x.Terms))
+		for i, t := range x.Terms {
+			terms[i] = orOfEq(t)
+		}
+		return Or{Terms: terms}
+	case Not:
+		return Not{Term: orOfEq(x.Term)}
+	}
+	return e
+}
+
 // agree checks one expression on every row of m.
 func agree(t *testing.T, e Expr, m *relation.TupleMap) {
 	t.Helper()
 	p := Compile(e, compileSchema)
 	bound := p.Bind(m)
+	ref := orOfEq(e)
 	m.EachSlot(func(s int32, _ int64) bool {
 		row := m.AppendTupleAt(nil, s)
-		want, werr := EvalPred(e, compileSchema, row)
+		want, werr := EvalPred(ref, compileSchema, row)
 		for form, got := range map[string]func() (bool, error){
 			"bound": func() (bool, error) { return bound(s) },
 			"tuple": func() (bool, error) { return p.Eval(row) },
+			"eval":  func() (bool, error) { return EvalPred(e, compileSchema, row) },
 		} {
 			ok, err := got()
 			if (err != nil) != (werr != nil) || (werr == nil && ok != want) ||

@@ -9,6 +9,7 @@ package algebra
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"squirrel/internal/relation"
@@ -359,6 +360,85 @@ func (n Not) Eval(env Env) (relation.Value, error) {
 func (n Not) CollectAttrs(set map[string]bool) { n.Term.CollectAttrs(set) }
 
 func (n Not) String() string { return "NOT " + n.Term.String() }
+
+// In is the membership test attr ∈ {v₁, …, vₙ}. Its meaning is exactly
+// Or(Eq(attr, v₁), …) under Value.Equal — an int matches a numerically
+// equal float, NULL matches NULL — and the empty list is false without
+// reading the attribute, as the empty Or is. Compile builds one hash set
+// per compile, so a row costs one probe. The update path restricts a
+// sibling poll with it to the join keys the transaction's delta probes.
+type In struct {
+	Attr   string
+	Values []relation.Value
+}
+
+// Eval implements Expr.
+func (x In) Eval(env Env) (relation.Value, error) {
+	if len(x.Values) == 0 {
+		return relation.Bool(false), nil
+	}
+	v, err := Attr{Name: x.Attr}.Eval(env)
+	if err != nil {
+		return relation.Null(), err
+	}
+	for _, w := range x.Values {
+		if v.Equal(w) {
+			return relation.Bool(true), nil
+		}
+	}
+	return relation.Bool(false), nil
+}
+
+// CollectAttrs implements Expr.
+func (x In) CollectAttrs(set map[string]bool) { set[x.Attr] = true }
+
+// String renders the values sorted (by kind, then value, then rendering),
+// so equal sets render alike whatever their order.
+func (x In) String() string {
+	vals := append([]relation.Value(nil), x.Values...)
+	sort.Slice(vals, func(i, j int) bool {
+		a, b := vals[i], vals[j]
+		if a.Kind() != b.Kind() {
+			return a.Kind() < b.Kind()
+		}
+		if c, err := a.Compare(b); err == nil && c != 0 {
+			return c < 0
+		}
+		return a.String() < b.String()
+	})
+	parts := make([]string, len(vals))
+	for i, v := range vals {
+		parts[i] = v.String()
+	}
+	return x.Attr + " IN (" + strings.Join(parts, ", ") + ")"
+}
+
+// HasIn reports whether e contains an In node anywhere.
+func HasIn(e Expr) bool {
+	switch x := e.(type) {
+	case In:
+		return true
+	case Arith:
+		return HasIn(x.L) || HasIn(x.R)
+	case Cmp:
+		return HasIn(x.L) || HasIn(x.R)
+	case And:
+		for _, t := range x.Terms {
+			if HasIn(t) {
+				return true
+			}
+		}
+	case Or:
+		for _, t := range x.Terms {
+			if HasIn(t) {
+				return true
+			}
+		}
+	case Not:
+		return HasIn(x.Term)
+	}
+	return false
+}
 
 // True is the always-true predicate.
 func True() Expr { return And{} }

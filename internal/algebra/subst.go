@@ -34,6 +34,11 @@ func SubstAttrs(e Expr, mapping map[string]string) Expr {
 		return Or{Terms: terms}
 	case Not:
 		return Not{Term: SubstAttrs(x.Term, mapping)}
+	case In:
+		if to, ok := mapping[x.Attr]; ok {
+			return In{Attr: to, Values: x.Values}
+		}
+		return x
 	}
 	return e
 }

@@ -1,8 +1,11 @@
 package algebra
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"squirrel/internal/relation"
 )
 
 func TestSubstAttrs(t *testing.T) {
@@ -94,5 +97,57 @@ func TestArithOpStrings(t *testing.T) {
 	}
 	if ArithOp(99).String() != "?" || CmpOp(99).String() != "?" {
 		t.Errorf("unknown op strings")
+	}
+}
+
+func TestInNode(t *testing.T) {
+	in := In{Attr: "a", Values: []relation.Value{relation.Str("x"), relation.Int(3), relation.Null(), relation.Float(1.5), relation.Int(-2)}}
+	// The rendering sorts the values, so a permuted list renders alike.
+	perm := In{Attr: "a", Values: []relation.Value{relation.Int(-2), relation.Float(1.5), relation.Int(3), relation.Null(), relation.Str("x")}}
+	if got, want := in.String(), `a IN (NULL, -2, 3, 1.5, "x")`; got != want || perm.String() != want {
+		t.Errorf("String = %q and %q, want %q", got, perm.String(), want)
+	}
+	nan, negZero := relation.Float(math.NaN()), relation.Float(math.Copysign(0, -1))
+	odd := []relation.Value{nan, relation.Float(0), negZero, relation.Float(math.Inf(1)), relation.Float(-1)}
+	for i := range odd {
+		rot := append(append([]relation.Value(nil), odd[i:]...), odd[:i]...)
+		if got, want := (In{Attr: "f", Values: rot}).String(), "f IN (-1, -0, 0, +Inf, NaN)"; got != want {
+			t.Errorf("String of rotation %d = %q, want %q", i, got, want)
+		}
+	}
+	if got := SubstAttrs(Conj(in, Eq(A("b"), CInt(1))), map[string]string{"a": "z"}).String(); !strings.Contains(got, "z IN (") {
+		t.Errorf("SubstAttrs did not rename the In attribute: %s", got)
+	}
+	if attrs := Attrs(in); len(attrs) != 1 || !attrs["a"] {
+		t.Errorf("CollectAttrs = %v", attrs)
+	}
+	push, rest := ConjunctsOver(Conj(in, Eq(A("b"), CInt(1))), map[string]bool{"a": true})
+	if push.String() != in.String() || rest.String() != "b = 1" {
+		t.Errorf("ConjunctsOver = %s | %s", push, rest)
+	}
+	if !HasIn(Not{Term: Conj(Eq(A("b"), CInt(1)), in)}) || HasIn(Eq(A("a"), CInt(3))) {
+		t.Errorf("HasIn")
+	}
+	// Numeric equality across kinds, NULL = NULL; the empty list is false
+	// and reads nothing.
+	schema := relation.MustSchema("X", []relation.Attribute{{Name: "a", Type: relation.KindFloat}})
+	for _, c := range []struct {
+		e    Expr
+		v    relation.Value
+		want bool
+	}{
+		{in, relation.Float(3), true},
+		{in, relation.Int(1), false},
+		{in, relation.Null(), true},
+		{In{Attr: "a", Values: []relation.Value{relation.Float(0)}}, relation.Float(math.Copysign(0, -1)), true},
+		{In{Attr: "zz"}, relation.Int(1), false},
+	} {
+		got, err := EvalPred(c.e, schema, relation.Tuple{c.v})
+		if err != nil || got != c.want {
+			t.Errorf("%s on %s = %v, %v; want %v", c.e, c.v, got, err, c.want)
+		}
+		if got, err := Compile(c.e, schema).Eval(relation.Tuple{c.v}); err != nil || got != c.want {
+			t.Errorf("compiled %s on %s = %v, %v; want %v", c.e, c.v, got, err, c.want)
+		}
 	}
 }

@@ -94,10 +94,10 @@ func (m *Mediator) runUpdateOnce(attempt int) (ran, retry bool, err error) {
 	var temps *tempResult
 	var captured map[string]*delta.RelDelta
 	polled := 0
-	dirty := combined.Relations()
-	if len(dirty) > 0 {
-		// Phase (a): which node states will the rules read?
-		reqs, err := v.KernelRequirements(dirty)
+	if !combined.IsEmpty() {
+		// Phase (a): which node states will the rules read, and — for a
+		// sibling read only through probes — at which keys?
+		reqs, err := v.KernelRequirements(combined)
 		if err != nil {
 			return false, false, err
 		}

@@ -146,21 +146,27 @@ func (m *Mediator) buildTemporaries(ep *planEpoch, plan []vdp.Requirement, view 
 		o := &outs[i]
 		o.items = bySource[src]
 		specs := make([]source.QuerySpec, len(o.items))
+		restricted := false
 		for j, it := range o.items {
 			specs[j] = source.QuerySpec{Rel: it.spec.Leaf, Attrs: it.spec.Attrs, Cond: it.spec.Cond}
+			restricted = restricted || algebra.HasIn(it.spec.Cond)
 		}
-		key := pollKey(src, specs)
 		answers, asOf, err := m.pollSource(src, specs, false)
 		if err == nil {
-			// Cache the raw answers before compensation mutates them.
-			m.cachePoll(key, answers, asOf)
+			// Cache the raw answers before compensation mutates them —
+			// unless a spec is narrowed to an update's probe keys: that
+			// shape never recurs, so caching it would only add an entry
+			// and a clone of the answer per transaction.
+			if !restricted {
+				m.cachePoll(pollKey(src, specs), answers, asOf)
+			}
 			o.answers, o.asOf = answers, asOf
 			return nil
 		}
 		if degrade != ServeStale {
 			return fmt.Errorf("core: polling %s: %w", src, err)
 		}
-		cached, cachedAsOf, ok := m.cachedAnswers(key)
+		cached, cachedAsOf, ok := m.cachedAnswers(pollKey(src, specs))
 		if !ok {
 			return fmt.Errorf("core: polling %s (no cached answer to degrade to): %w", src, err)
 		}

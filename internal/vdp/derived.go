@@ -5,6 +5,8 @@ import (
 	"sort"
 
 	"squirrel/internal/algebra"
+	"squirrel/internal/delta"
+	"squirrel/internal/relation"
 )
 
 // Requirement describes a temporary relation to be constructed (§6.3): the
@@ -347,23 +349,32 @@ func (v *VDP) LeafParentPollSpec(req Requirement) (PollSpec, error) {
 }
 
 // KernelRequirements performs phase (a) of the general IUP algorithm
-// (§6.4): it simulates the kernel run for an update touching the given
-// leaf relations and returns the requirements on node STATES that the
-// §5.2 rules will read — sibling operands of updated children, and (for
+// (§6.4): it simulates the kernel run for an update transaction's combined
+// leaf delta and returns the requirements on node STATES that the §5.2
+// rules will read — sibling operands of updated children, and (for
 // difference nodes and self-joins) the updated child's own pre-update
 // state. The mediator materializes temporaries for exactly those
 // requirements that touch virtual attributes.
-func (v *VDP) KernelRequirements(dirtyLeaves []string) ([]Requirement, error) {
-	dirty := make(map[string]bool, len(dirtyLeaves))
-	for _, l := range dirtyLeaves {
+//
+// Such a requirement is narrowed to the probe keys of the delta when the
+// sibling is read only through index probes keyed by a leaf-parent's delta:
+// see probeKeys.
+func (v *VDP) KernelRequirements(combined *delta.Delta) ([]Requirement, error) {
+	dirty := make(map[string]bool)
+	for _, l := range combined.Relations() {
 		n := v.Node(l)
 		if n == nil || !n.IsLeaf() {
 			return nil, fmt.Errorf("vdp: %q is not a leaf", l)
 		}
 		dirty[l] = true
 	}
+	keys := make(keyValues)
 	needs := make(map[string]*Requirement)
-	record := func(rel string, attrs []string, cond algebra.Expr) error {
+	// record adds a read of rel's state; restrict, if set, narrows it to
+	// the keys a probe can reach, and runs only once the read is known to
+	// need a temporary (so a transaction that polls nothing derives no
+	// key sets).
+	record := func(rel string, attrs []string, cond algebra.Expr, restrict func() algebra.Expr) error {
 		if v.Node(rel).IsLeaf() {
 			// Leaf states are never read by rules (leaf-parents are
 			// single-input selections/projections).
@@ -372,6 +383,11 @@ func (v *VDP) KernelRequirements(dirtyLeaves []string) ([]Requirement, error) {
 		req, err := NewRequirement(v, rel, attrs, cond)
 		if err != nil {
 			return err
+		}
+		if restrict != nil && req.NeedsVirtual(v) {
+			if k := restrict(); k != nil {
+				req.Cond = algebra.Conj(req.Cond, k)
+			}
 		}
 		if existing, ok := needs[rel]; ok {
 			existing.merge(req)
@@ -409,7 +425,7 @@ func (v *VDP) KernelRequirements(dirtyLeaves []string) ([]Requirement, error) {
 			for _, in := range d.Inputs {
 				selfJoin[in.Rel]++
 			}
-			for _, in := range d.Inputs {
+			for j, in := range d.Inputs {
 				attrs := in.Proj
 				if len(attrs) == 0 {
 					attrs = v.Node(in.Rel).Schema.AttrNames()
@@ -418,18 +434,19 @@ func (v *VDP) KernelRequirements(dirtyLeaves []string) ([]Requirement, error) {
 				// state; an occurrence's state is therefore needed if some
 				// other input is dirty, or its own relation is dirty and
 				// self-joined.
-				needed := false
-				for _, other := range d.Inputs {
+				var probers []int
+				for i, other := range d.Inputs {
 					if other.Rel != in.Rel && dirty[other.Rel] {
-						needed = true
+						probers = append(probers, i)
 					}
 				}
-				if dirty[in.Rel] && selfJoin[in.Rel] > 1 {
-					needed = true
+				var restrict func() algebra.Expr
+				if len(probers) > 0 && len(selfJoin) == len(d.Inputs) {
+					restrict = func() algebra.Expr { return v.probeKeys(name, d, j, probers, combined, keys) }
 				}
-				if needed {
+				if len(probers) > 0 || (dirty[in.Rel] && selfJoin[in.Rel] > 1) {
 					withWhere := append([]string(nil), attrs...)
-					if err := record(in.Rel, withWhere, in.Where); err != nil {
+					if err := record(in.Rel, withWhere, in.Where, restrict); err != nil {
 						return nil, err
 					}
 				}
@@ -441,7 +458,7 @@ func (v *VDP) KernelRequirements(dirtyLeaves []string) ([]Requirement, error) {
 			// set-level deltas) and the co-branch's set state; since at
 			// least one branch is dirty, both branch states are needed.
 			for _, b := range []Branch{d.L, d.R} {
-				if err := record(b.Rel, b.Proj, b.Where); err != nil {
+				if err := record(b.Rel, b.Proj, b.Where, nil); err != nil {
 					return nil, err
 				}
 			}
@@ -454,4 +471,84 @@ func (v *VDP) KernelRequirements(dirtyLeaves []string) ([]Requirement, error) {
 		}
 	}
 	return out, nil
+}
+
+// probeKeys returns the condition that narrows input j of SPJ node name to
+// the rows the rules of this transaction can match, or nil when it cannot
+// be narrowed. The rule for a delta entering at input i reaches j through
+// the probe step of firings[i] that binds j, and a sibling row can match
+// only if its key equals the value the step's `from` attribute takes in
+// that delta. So when, for every dirty input i (probers), that step has a
+// key whose `from` attributes all belong to input i, and input i is a
+// leaf-parent, j is needed only at σ_{key ∈ K}: K the values the `from`
+// attribute takes in the leaf's delta, over inserts and deletes. Those
+// values are read before the leaf-parent's own σ, a superset of what
+// enters the rule, so the narrowed state is still exact where it is read.
+// Cross products, keys bound through another input (a later probe step)
+// and non-leaf-parent inputs keep the whole state; self-joins and
+// difference nodes are never passed here, and probers is never empty.
+func (v *VDP) probeKeys(name string, d SPJ, j int, probers []int, combined *delta.Delta, keys keyValues) algebra.Expr {
+	plan := v.plans[name]
+	alts := make([]algebra.Expr, 0, len(probers))
+	for _, i := range probers {
+		in := d.Inputs[i]
+		if !v.IsLeafParent(in.Rel) {
+			return nil
+		}
+		leaf := v.Children(in.Rel)[0]
+		schema, err := v.inputSchema(name, in)
+		if err != nil {
+			return nil
+		}
+		var terms []algebra.Expr
+		for _, st := range plan.firings[i] {
+			if st.input != j {
+				continue
+			}
+			if len(st.key) == 0 {
+				return nil
+			}
+			for k, from := range st.from {
+				if !schema.HasAttr(from) {
+					return nil
+				}
+				vals, ok := keys.of(v, combined, leaf, from)
+				if !ok {
+					return nil
+				}
+				terms = append(terms, algebra.In{Attr: st.key[k], Values: vals})
+			}
+		}
+		alts = append(alts, algebra.Conj(terms...))
+	}
+	return algebra.Disj(alts...)
+}
+
+// keyValues memoizes, per (leaf, attribute), the distinct values an
+// attribute takes in a transaction's leaf delta.
+type keyValues map[[2]string][]relation.Value
+
+// of returns the values attr takes in combined's delta for leaf; ok is
+// false when leaf has no such attribute or no delta.
+func (kv keyValues) of(v *VDP, combined *delta.Delta, leaf, attr string) ([]relation.Value, bool) {
+	id := [2]string{leaf, attr}
+	if vals, ok := kv[id]; ok {
+		return vals, true
+	}
+	rd := combined.Get(leaf)
+	pos, ok := v.Node(leaf).Schema.AttrIndex(attr)
+	if rd == nil || !ok {
+		return nil, false
+	}
+	seen := make(map[relation.Value]bool)
+	vals := []relation.Value{}
+	rd.Each(func(t relation.Tuple, _ int) bool {
+		if x := t[pos]; !seen[x] {
+			seen[x] = true
+			vals = append(vals, x)
+		}
+		return true
+	})
+	kv[id] = vals
+	return vals, true
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"squirrel/internal/algebra"
+	"squirrel/internal/delta"
 	"squirrel/internal/relation"
 )
 
@@ -256,11 +257,25 @@ func TestLeafParentPollSpec(t *testing.T) {
 	}
 }
 
+// touch is a transaction delta inserting one all-ones row into each named
+// relation.
+func touch(v *VDP, rels ...string) *delta.Delta {
+	d := delta.New()
+	for _, rel := range rels {
+		row := make(relation.Tuple, v.Node(rel).Schema.Arity())
+		for i := range row {
+			row[i] = relation.Int(1)
+		}
+		d.Insert(rel, row)
+	}
+	return d
+}
+
 func TestKernelRequirementsPaper(t *testing.T) {
 	v := paperVDP(t, nil, nil, nil)
 	// ΔR only: rule (T,R') reads S' — S' state needed, R' not (single
 	// occurrence, no self-join), leaf states never needed.
-	reqs, err := v.KernelRequirements([]string{"R"})
+	reqs, err := v.KernelRequirements(touch(v, "R"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,21 +283,21 @@ func TestKernelRequirementsPaper(t *testing.T) {
 		t.Fatalf("reqs = %+v", reqs)
 	}
 	// Both leaves dirty: both R' and S' states needed.
-	reqs, err = v.KernelRequirements([]string{"R", "S"})
+	reqs, err = v.KernelRequirements(touch(v, "R", "S"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(reqs) != 2 {
 		t.Fatalf("reqs = %+v", reqs)
 	}
-	if _, err := v.KernelRequirements([]string{"T"}); err == nil {
+	if _, err := v.KernelRequirements(touch(v, "T")); err == nil {
 		t.Errorf("non-leaf dirty set should be rejected")
 	}
 }
 
 func TestKernelRequirementsSelfJoin(t *testing.T) {
 	v, _ := selfJoinVDP(t)
-	reqs, err := v.KernelRequirements([]string{"P"})
+	reqs, err := v.KernelRequirements(touch(v, "P"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +309,7 @@ func TestKernelRequirementsSelfJoin(t *testing.T) {
 
 func TestKernelRequirementsDiff(t *testing.T) {
 	v, _ := diffVDP(t)
-	reqs, err := v.KernelRequirements([]string{"A"})
+	reqs, err := v.KernelRequirements(touch(v, "A"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,12 +329,65 @@ func TestKernelRequirementsDiff(t *testing.T) {
 
 func TestKernelRequirementsUnion(t *testing.T) {
 	v, _ := unionVDP(t)
-	reqs, err := v.KernelRequirements([]string{"A"})
+	reqs, err := v.KernelRequirements(touch(v, "A"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(reqs) != 0 {
 		t.Fatalf("union is pass-through; reqs = %+v", reqs)
+	}
+}
+
+// TestKernelRequirementsProbeKeys: with R′ and S′ virtual (Example 2.3), a
+// sibling read only through the join probe is requested at the join-key
+// values of the leaf delta that probes it — over inserts and deletes, and
+// before the leaf-parent's own σ — while materialized siblings, self-joins
+// and difference branches keep today's unrestricted condition.
+func TestKernelRequirementsProbeKeys(t *testing.T) {
+	rp := relation.MustSchema("R'", []relation.Attribute{
+		{Name: "r1", Type: relation.KindInt}, {Name: "r2", Type: relation.KindInt},
+		{Name: "r3", Type: relation.KindInt}}, "r1")
+	sp := relation.MustSchema("S'", []relation.Attribute{
+		{Name: "s1", Type: relation.KindInt}, {Name: "s2", Type: relation.KindInt}}, "s1")
+	v := paperVDP(t, AllVirtual(rp), AllVirtual(sp), Ann([]string{"r1", "s1"}, []string{"r3", "s2"}))
+	d := delta.New()
+	d.Insert("R", relation.T(1, 10, 5, 100))
+	d.Insert("R", relation.T(2, 10, 6, 100))
+	d.Delete("R", relation.T(3, 20, 7, 999)) // fails R′'s σ: still a key
+	reqs, err := v.KernelRequirements(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reqs) != 1 || reqs[0].Rel != "S'" {
+		t.Fatalf("reqs = %+v", reqs)
+	}
+	if got, want := reqs[0].Cond.String(), "s1 IN (10, 20)"; got != want {
+		t.Errorf("S' cond = %s, want %s", got, want)
+	}
+	if got := attrsOf(reqs[0]); got != "s1,s2" {
+		t.Errorf("S' attrs = %s", got)
+	}
+	// Both leaves dirty: each sibling at the keys of the other's delta.
+	d.Insert("S", relation.T(10, 1, 1))
+	d.Insert("S", relation.T(30, 1, 1))
+	reqs, err = v.KernelRequirements(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conds := map[string]string{}
+	for _, r := range reqs {
+		conds[r.Rel] = r.Cond.String()
+	}
+	if conds["R'"] != "r2 IN (10, 30)" || conds["S'"] != "s1 IN (10, 20)" {
+		t.Errorf("conds = %v", conds)
+	}
+	// Materialized siblings are never narrowed (no poll, no key work).
+	v = paperVDP(t, nil, nil, nil)
+	reqs, _ = v.KernelRequirements(d)
+	for _, r := range reqs {
+		if algebra.HasIn(r.Cond) {
+			t.Errorf("materialized %s narrowed: %s", r.Rel, r.Cond)
+		}
 	}
 }
 

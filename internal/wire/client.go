@@ -380,7 +380,11 @@ func (c *Client) QueryMulti(specs []source.QuerySpec) ([]*relation.Relation, clo
 func (c *Client) QueryMultiBase(specs []source.QuerySpec) ([]*relation.Relation, clock.Time, clock.Vector, error) {
 	req := Message{Type: "query"}
 	for _, s := range specs {
-		req.Specs = append(req.Specs, EncodeSpec(s))
+		ws, err := EncodeSpec(s)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		req.Specs = append(req.Specs, ws)
 	}
 	reply, err := c.roundTrip(req)
 	if err != nil {

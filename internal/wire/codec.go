@@ -389,13 +389,14 @@ func (w Delta) Decode() (*delta.Delta, error) {
 
 // Expr is the wire form of algebra.Expr — a tagged union.
 type Expr struct {
-	Op    string  `json:"op"` // attr, const, arith, cmp, and, or, not
-	Name  string  `json:"name,omitempty"`
-	Value *Value  `json:"value,omitempty"`
-	Sub   string  `json:"sub,omitempty"` // arith/cmp operator symbol
-	L     *Expr   `json:"l,omitempty"`
-	R     *Expr   `json:"r,omitempty"`
-	Terms []*Expr `json:"terms,omitempty"`
+	Op     string  `json:"op"` // attr, const, arith, cmp, and, or, not, in
+	Name   string  `json:"name,omitempty"`
+	Value  *Value  `json:"value,omitempty"`
+	Sub    string  `json:"sub,omitempty"` // arith/cmp operator symbol
+	L      *Expr   `json:"l,omitempty"`
+	R      *Expr   `json:"r,omitempty"`
+	Terms  []*Expr `json:"terms,omitempty"`
+	Values []Value `json:"values,omitempty"` // in: the member list
 }
 
 var arithBySymbol = map[string]algebra.ArithOp{
@@ -407,39 +408,78 @@ var cmpBySymbol = map[string]algebra.CmpOp{
 	"<=": algebra.OpLe, ">": algebra.OpGt, ">=": algebra.OpGe,
 }
 
-// EncodeExpr converts an expression to wire form (nil stays nil).
-func EncodeExpr(e algebra.Expr) *Expr {
+// EncodeExpr converts an expression to wire form (nil stays nil). An
+// expression type the wire form cannot carry is an error: dropping the
+// node would widen the predicate the receiver evaluates.
+func EncodeExpr(e algebra.Expr) (*Expr, error) {
 	switch x := e.(type) {
 	case nil:
-		return nil
+		return nil, nil
 	case algebra.Attr:
-		return &Expr{Op: "attr", Name: x.Name}
+		return &Expr{Op: "attr", Name: x.Name}, nil
 	case algebra.Const:
 		v := EncodeValue(x.Value)
-		return &Expr{Op: "const", Value: &v}
+		return &Expr{Op: "const", Value: &v}, nil
 	case algebra.Arith:
-		return &Expr{Op: "arith", Sub: x.Op.String(), L: EncodeExpr(x.L), R: EncodeExpr(x.R)}
+		return encodeBinary("arith", x.Op.String(), x.L, x.R)
 	case algebra.Cmp:
-		return &Expr{Op: "cmp", Sub: x.Op.String(), L: EncodeExpr(x.L), R: EncodeExpr(x.R)}
+		return encodeBinary("cmp", x.Op.String(), x.L, x.R)
 	case algebra.And:
-		out := &Expr{Op: "and"}
-		for _, t := range x.Terms {
-			out.Terms = append(out.Terms, EncodeExpr(t))
-		}
-		return out
+		return encodeTerms("and", x.Terms)
 	case algebra.Or:
-		out := &Expr{Op: "or"}
-		for _, t := range x.Terms {
-			out.Terms = append(out.Terms, EncodeExpr(t))
-		}
-		return out
+		return encodeTerms("or", x.Terms)
 	case algebra.Not:
-		return &Expr{Op: "not", L: EncodeExpr(x.Term)}
+		t, err := encodeOperand(x.Term)
+		if err != nil {
+			return nil, err
+		}
+		return &Expr{Op: "not", L: t}, nil
+	case algebra.In:
+		out := &Expr{Op: "in", Name: x.Attr, Values: make([]Value, len(x.Values))}
+		for i, v := range x.Values {
+			out.Values[i] = EncodeValue(v)
+		}
+		return out, nil
 	}
-	return nil
+	return nil, fmt.Errorf("wire: cannot encode expression type %T", e)
 }
 
-// Decode converts a wire expression back (nil stays nil).
+// encodeOperand encodes a required operand: nil is an error there, not
+// TRUE.
+func encodeOperand(e algebra.Expr) (*Expr, error) {
+	if e == nil {
+		return nil, fmt.Errorf("wire: missing operand")
+	}
+	return EncodeExpr(e)
+}
+
+func encodeBinary(op, sub string, l, r algebra.Expr) (*Expr, error) {
+	we, err := encodeOperand(l)
+	if err != nil {
+		return nil, err
+	}
+	wr, err := encodeOperand(r)
+	if err != nil {
+		return nil, err
+	}
+	return &Expr{Op: op, Sub: sub, L: we, R: wr}, nil
+}
+
+func encodeTerms(op string, terms []algebra.Expr) (*Expr, error) {
+	out := &Expr{Op: op}
+	for _, t := range terms {
+		wt, err := encodeOperand(t)
+		if err != nil {
+			return nil, err
+		}
+		out.Terms = append(out.Terms, wt)
+	}
+	return out, nil
+}
+
+// Decode converts a wire expression back (nil stays nil). Every operand
+// an operator needs must be present: a missing one is an error, never a
+// nil the evaluator would trip over.
 func (w *Expr) Decode() (algebra.Expr, error) {
 	if w == nil {
 		return nil, nil
@@ -461,11 +501,7 @@ func (w *Expr) Decode() (algebra.Expr, error) {
 		if !ok {
 			return nil, fmt.Errorf("wire: unknown arith op %q", w.Sub)
 		}
-		l, err := w.L.Decode()
-		if err != nil {
-			return nil, err
-		}
-		r, err := w.R.Decode()
+		l, r, err := w.decodeBinary()
 		if err != nil {
 			return nil, err
 		}
@@ -475,11 +511,7 @@ func (w *Expr) Decode() (algebra.Expr, error) {
 		if !ok {
 			return nil, fmt.Errorf("wire: unknown cmp op %q", w.Sub)
 		}
-		l, err := w.L.Decode()
-		if err != nil {
-			return nil, err
-		}
-		r, err := w.R.Decode()
+		l, r, err := w.decodeBinary()
 		if err != nil {
 			return nil, err
 		}
@@ -487,7 +519,7 @@ func (w *Expr) Decode() (algebra.Expr, error) {
 	case "and", "or":
 		terms := make([]algebra.Expr, len(w.Terms))
 		for i, t := range w.Terms {
-			d, err := t.Decode()
+			d, err := t.decodeOperand(w.Op)
 			if err != nil {
 				return nil, err
 			}
@@ -498,13 +530,41 @@ func (w *Expr) Decode() (algebra.Expr, error) {
 		}
 		return algebra.Or{Terms: terms}, nil
 	case "not":
-		l, err := w.L.Decode()
+		l, err := w.L.decodeOperand("not")
 		if err != nil {
 			return nil, err
 		}
 		return algebra.Not{Term: l}, nil
+	case "in":
+		vals := make([]relation.Value, len(w.Values))
+		for i, wv := range w.Values {
+			v, err := wv.Decode()
+			if err != nil {
+				return nil, err
+			}
+			vals[i] = v
+		}
+		return algebra.In{Attr: w.Name, Values: vals}, nil
 	}
 	return nil, fmt.Errorf("wire: unknown expression op %q", w.Op)
+}
+
+// decodeOperand decodes an operand of op, which must be present.
+func (w *Expr) decodeOperand(op string) (algebra.Expr, error) {
+	if w == nil {
+		return nil, fmt.Errorf("wire: %s with a missing operand", op)
+	}
+	return w.Decode()
+}
+
+func (w *Expr) decodeBinary() (l, r algebra.Expr, err error) {
+	if l, err = w.L.decodeOperand(w.Op); err != nil {
+		return nil, nil, err
+	}
+	if r, err = w.R.decodeOperand(w.Op); err != nil {
+		return nil, nil, err
+	}
+	return l, r, nil
 }
 
 // QuerySpec is the wire form of source.QuerySpec.
@@ -515,8 +575,12 @@ type QuerySpec struct {
 }
 
 // EncodeSpec converts a query spec.
-func EncodeSpec(s source.QuerySpec) QuerySpec {
-	return QuerySpec{Rel: s.Rel, Attrs: s.Attrs, Cond: EncodeExpr(s.Cond)}
+func EncodeSpec(s source.QuerySpec) (QuerySpec, error) {
+	cond, err := EncodeExpr(s.Cond)
+	if err != nil {
+		return QuerySpec{}, err
+	}
+	return QuerySpec{Rel: s.Rel, Attrs: s.Attrs, Cond: cond}, nil
 }
 
 // Decode converts a wire spec back.

@@ -378,18 +378,33 @@ func (c *MediatorClient) roundTrip(m Message) (Message, error) {
 	return reply, nil
 }
 
+// medQuery sends m as a medquery for π_attrs σ_cond (export) and decodes
+// the single answer.
+func (c *MediatorClient) medQuery(m Message, export string, attrs []string, cond algebra.Expr) (Message, *relation.Relation, error) {
+	wc, err := EncodeExpr(cond)
+	if err != nil {
+		return Message{}, nil, err
+	}
+	m.Type = "medquery"
+	m.Specs = []QuerySpec{{Rel: export, Attrs: attrs, Cond: wc}}
+	reply, err := c.roundTrip(m)
+	if err != nil {
+		return Message{}, nil, err
+	}
+	if len(reply.Answers) != 1 {
+		return Message{}, nil, fmt.Errorf("wire: expected one answer, got %d", len(reply.Answers))
+	}
+	ans, err := reply.Answers[0].Decode()
+	if err != nil {
+		return Message{}, nil, err
+	}
+	return reply, ans, nil
+}
+
 // Query answers π_attrs σ_cond (export) remotely; the returned time is
 // the query transaction's commit time at the mediator.
 func (c *MediatorClient) Query(export string, attrs []string, cond algebra.Expr) (*relation.Relation, clock.Time, error) {
-	reply, err := c.roundTrip(Message{Type: "medquery",
-		Specs: []QuerySpec{{Rel: export, Attrs: attrs, Cond: EncodeExpr(cond)}}})
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(reply.Answers) != 1 {
-		return nil, 0, fmt.Errorf("wire: expected one answer, got %d", len(reply.Answers))
-	}
-	ans, err := reply.Answers[0].Decode()
+	reply, ans, err := c.medQuery(Message{}, export, attrs, cond)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -399,15 +414,7 @@ func (c *MediatorClient) Query(export string, attrs []string, cond algebra.Expr)
 // QueryVersioned is Query plus the published store version the answer was
 // computed against.
 func (c *MediatorClient) QueryVersioned(export string, attrs []string, cond algebra.Expr) (*relation.Relation, clock.Time, uint64, error) {
-	reply, err := c.roundTrip(Message{Type: "medquery",
-		Specs: []QuerySpec{{Rel: export, Attrs: attrs, Cond: EncodeExpr(cond)}}})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if len(reply.Answers) != 1 {
-		return nil, 0, 0, fmt.Errorf("wire: expected one answer, got %d", len(reply.Answers))
-	}
-	ans, err := reply.Answers[0].Decode()
+	reply, ans, err := c.medQuery(Message{}, export, attrs, cond)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -420,15 +427,7 @@ func (c *MediatorClient) QueryVersioned(export string, attrs []string, cond alge
 // nothing was degraded). maxStale > 0 refuses answers staler than that
 // bound (Theorem 7.2's f̄ as a client-side contract); 0 accepts any age.
 func (c *MediatorClient) QueryStale(export string, attrs []string, cond algebra.Expr, maxStale clock.Time) (*relation.Relation, clock.Time, clock.Vector, error) {
-	reply, err := c.roundTrip(Message{Type: "medquery", Degrade: "stale", MaxStale: maxStale,
-		Specs: []QuerySpec{{Rel: export, Attrs: attrs, Cond: EncodeExpr(cond)}}})
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	if len(reply.Answers) != 1 {
-		return nil, 0, nil, fmt.Errorf("wire: expected one answer, got %d", len(reply.Answers))
-	}
-	ans, err := reply.Answers[0].Decode()
+	reply, ans, err := c.medQuery(Message{Degrade: "stale", MaxStale: maxStale}, export, attrs, cond)
 	if err != nil {
 		return nil, 0, nil, err
 	}

@@ -201,9 +201,15 @@ func TestExprRoundTrip(t *testing.T) {
 		algebra.Or{Terms: []algebra.Expr{algebra.Ne(algebra.A("a"), algebra.CInt(0))}},
 		algebra.Not{Term: algebra.Gt(algebra.Add(algebra.A("a"), algebra.CInt(1)), algebra.Mul(algebra.A("b"), algebra.A("b")))},
 		algebra.Le(algebra.Div(algebra.A("a"), algebra.CInt(2)), algebra.Sub(algebra.A("b"), algebra.CInt(3))),
+		algebra.In{Attr: "a", Values: []relation.Value{relation.Int(3), relation.Float(1.5), relation.Null(), relation.Str("x")}},
+		algebra.Conj(algebra.In{Attr: "b"}, algebra.Eq(algebra.A("a"), algebra.CInt(1))),
 	}
 	for _, e := range exprs {
-		got, err := EncodeExpr(e).Decode()
+		w, err := EncodeExpr(e)
+		if err != nil {
+			t.Fatalf("%v: %v", e, err)
+		}
+		got, err := w.Decode()
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
 		}
@@ -219,6 +225,7 @@ func TestExprRoundTrip(t *testing.T) {
 		{Op: "const"},
 		{Op: "arith", Sub: "%"},
 		{Op: "cmp", Sub: "~"},
+		{Op: "in", Name: "a", Values: []Value{{K: "zzz"}}},
 	}
 	for _, w := range bad {
 		if _, err := w.Decode(); err == nil {
