@@ -724,10 +724,9 @@ func BenchmarkE15ConcurrentReads(b *testing.B) {
 // database. S{i}' and T{i} are hybrid with the S-payload virtual — the
 // same shape as the fault-tolerance chaos environment — so maintaining
 // T{i} after an R commit forces an Eager-Compensated poll of pol{i}.
-// Update-transaction latency is then dominated by the `units` polls: the
-// serial executor pays them in sequence, the staged executor overlaps
-// them on its worker pool.
-func benchWidePropagationMediator(b *testing.B, units, workers int, latency time.Duration) (*squirrel.Mediator, *squirrel.SourceDB) {
+// Update-transaction latency is then dominated by the `units` polls, which
+// the VAP issues concurrently, one goroutine per polled source.
+func benchWidePropagationMediator(b *testing.B, units int, latency time.Duration) (*squirrel.Mediator, *squirrel.SourceDB) {
 	b.Helper()
 	clk := &squirrel.LogicalClock{}
 	rng := rand.New(rand.NewSource(7))
@@ -788,7 +787,7 @@ func benchWidePropagationMediator(b *testing.B, units, workers int, latency time
 		b.Fatal(err)
 	}
 	med, err := squirrel.NewMediator(squirrel.MediatorConfig{
-		VDP: plan, Sources: conns, Clock: clk, PropagateWorkers: workers,
+		VDP: plan, Sources: conns, Clock: clk,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -853,38 +852,32 @@ func BenchmarkColumnarPropagation(b *testing.B) {
 }
 
 // BenchmarkParallelPropagation measures one update transaction over the
-// wide topology above (8 units, 2ms injected poll latency) as the worker
-// count grows. Each iteration commits one insert per R leaf in a single
-// source transaction, then runs the update transaction that maintains all
-// 8 join views. On a single-CPU host the kernel's compute cannot speed
-// up; the win measured here is poll-latency overlap in the VAP, which is
-// where a latency-dominated wide propagation spends its time (workers=1
-// pays 8 round trips in sequence, workers=4 pays ~2).
+// wide topology above (8 units, 2ms injected poll latency). Each iteration
+// commits one insert per R leaf in a single source transaction, then runs
+// the update transaction that maintains all 8 join views. The 8 polls
+// overlap, so an iteration pays about one round trip rather than 8 in
+// sequence; the kernel itself runs on the mediator's GOMAXPROCS pool.
 func BenchmarkParallelPropagation(b *testing.B) {
 	const units = 8
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			med, upd := benchWidePropagationMediator(b, units, workers, 2*time.Millisecond)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d := squirrel.NewDelta()
-				for u := 0; u < units; u++ {
-					nextKey++
-					d.Insert(fmt.Sprintf("R%d", u),
-						squirrel.T(nextKey, int64(1+i%4), int64(i%50)))
-				}
-				if _, err := upd.Apply(d); err != nil {
-					b.Fatal(err)
-				}
-				ran, err := med.RunUpdateTransaction()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !ran {
-					b.Fatal("update transaction had nothing to do")
-				}
-			}
-		})
+	med, upd := benchWidePropagationMediator(b, units, 2*time.Millisecond)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := squirrel.NewDelta()
+		for u := 0; u < units; u++ {
+			nextKey++
+			d.Insert(fmt.Sprintf("R%d", u),
+				squirrel.T(nextKey, int64(1+i%4), int64(i%50)))
+		}
+		if _, err := upd.Apply(d); err != nil {
+			b.Fatal(err)
+		}
+		ran, err := med.RunUpdateTransaction()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !ran {
+			b.Fatal("update transaction had nothing to do")
+		}
 	}
 }
 

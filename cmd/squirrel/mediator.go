@@ -66,8 +66,6 @@ func cmdServeMediator(args []string) error {
 	breaker := fs.String("breaker", "", "circuit breaker FAILURES:COOLDOWN (e.g. 5:2s; empty = disabled)")
 	chaosSeed := fs.Int64("chaos-seed", 0, "seed for deterministic fault injection on source links (0 = off)")
 	chaosErr := fs.Float64("chaos-err", 0.1, "per-operation error probability when -chaos-seed is set")
-	workers := fs.Int("propagate-workers", 0,
-		"staged-kernel worker pool for update propagation (0 = serial reference kernel)")
 	exportAddr := fs.String("export-as-source", "",
 		"serve this mediator's fully materialized exports as an autonomous source on this "+
 			"address, so an upstream mediator can consume them with a plain -source "+
@@ -84,9 +82,6 @@ func cmdServeMediator(args []string) error {
 		"minimum wall time between applied re-annotations (0 = twice -adapt-interval)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *workers < 0 {
-		return fmt.Errorf("bad -propagate-workers %d (want >= 0)", *workers)
 	}
 	resil := core.ResilienceConfig{
 		PollTimeout: *pollTimeout,
@@ -188,13 +183,9 @@ func cmdServeMediator(args []string) error {
 	fmt.Print(plan)
 
 	med, err := core.New(core.Config{VDP: plan, Sources: conns, Clock: clk,
-		Resilience: resil, PropagateWorkers: *workers})
+		Resilience: resil})
 	if err != nil {
 		return err
-	}
-	if *workers >= 1 {
-		fmt.Printf("staged kernel: %d worker(s), %d stages, widest stage %d node(s)\n",
-			*workers, plan.StageCount(), plan.MaxStageWidth())
 	}
 	// Announcement feeds hook up only after restore/recovery below: WAL
 	// replay must drain an empty queue, and a live announcement arriving

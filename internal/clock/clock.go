@@ -21,6 +21,16 @@ type Clock interface {
 	Now() Time
 }
 
+// Sequential is implemented by a clock that drives a single-threaded
+// discrete-event simulation (sim.Sim), which models concurrency by
+// interleaving. Everything that reads such a clock must run on the
+// simulation's goroutine, so a component holding one spawns no goroutines
+// of its own that could reach it.
+type Sequential interface {
+	Clock
+	Sequential()
+}
+
 // Logical is a strictly increasing in-process clock; the zero value is
 // ready to use.
 type Logical struct {

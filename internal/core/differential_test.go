@@ -10,7 +10,7 @@ import (
 )
 
 // The differential test oracle for the staged parallel kernel: the serial
-// kernel (PropagateWorkers = 0) is the reference implementation, and every
+// kernel (export_test.go) is the reference implementation, and every
 // staged configuration must be observationally identical to it on the same
 // random plan and the same random update/query stream. "Observationally
 // identical" means the full transcript matches byte for byte: per update

@@ -36,9 +36,9 @@ func newChaosEnv(t testing.TB, seed int64) (*testEnv, *resilience.Injector) {
 	return newChaosEnvWorkers(t, seed, 0)
 }
 
-// newChaosEnvWorkers is newChaosEnv with the kernel executor selected:
-// workers == 0 runs the serial reference kernel, workers >= 1 the staged
-// kernel with that pool size.
+// newChaosEnvWorkers is newChaosEnv with the kernel pool selected:
+// workers == 0 keeps the mediator's own (GOMAXPROCS-sized) pool, workers
+// >= 1 runs the staged kernel on a pool of that size.
 func newChaosEnvWorkers(t testing.TB, seed int64, workers int) (*testEnv, *resilience.Injector) {
 	t.Helper()
 	clk := &clock.Logical{}
@@ -74,10 +74,12 @@ func newChaosEnvWorkers(t testing.TB, seed int64, workers int) (*testEnv, *resil
 			Retry: resilience.RetryPolicy{MaxAttempts: 4, BaseDelay: 200 * time.Microsecond},
 			Seed:  seed,
 		},
-		PropagateWorkers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if workers > 0 {
+		useKernel(med, workers)
 	}
 	ConnectLocal(med, db1)
 	ConnectLocal(med, db2)
@@ -104,9 +106,9 @@ func TestFaultSoak(t *testing.T) {
 	}
 }
 
-// runFaultSoak is the soak body, parameterized by kernel executor so the
-// staged parallel kernel is exercised under the identical chaos mix (see
-// TestParallelPropagationSoak).
+// runFaultSoak is the soak body, parameterized by kernel pool size so an
+// oversized pool is exercised under the identical chaos mix (see
+// TestParallelSoak).
 func runFaultSoak(t *testing.T, seed int64, workers int) {
 	e, inj := newChaosEnvWorkers(t, seed, workers)
 	attrs := []string{"r1", "s2"}

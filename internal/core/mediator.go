@@ -26,11 +26,13 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"squirrel/internal/clock"
+	"squirrel/internal/delta"
 	"squirrel/internal/metrics"
 	"squirrel/internal/relation"
 	"squirrel/internal/source"
@@ -120,12 +122,10 @@ type Stats struct {
 	// consecutive overtaken-resync count reached the threshold); see
 	// SourceHealth.ResyncStuck for the per-source condition.
 	ResyncsStuck int
-	// Staged-kernel counters (parallel.go): stages that had dirty nodes
-	// to process, dirty nodes processed across those stages, and update
+	// Kernel counters (parallel.go): stages that had dirty nodes to
+	// process, dirty nodes processed across those stages, and update
 	// transactions retried because a concurrent resync published while
-	// the transaction was polling outside the store mutex. All zero when
-	// PropagateWorkers is 0 (serial kernel) — except UpdateTxnRetries,
-	// which the serial path can also record.
+	// the transaction was polling outside the store mutex.
 	KernelStages     int
 	KernelStageNodes int
 	UpdateTxnRetries int
@@ -194,13 +194,9 @@ type Config struct {
 	// Resilience tunes the per-source fault boundary (health.go). The
 	// zero value means fail-fast: one attempt, no timeout, no breaker.
 	Resilience ResilienceConfig
-	// PropagateWorkers selects the kernel executor for update
-	// transactions. 0 (the default) runs the serial reference kernel —
-	// the ground truth the differential oracle checks the staged kernel
-	// against. Any n >= 1 runs the staged kernel (parallel.go): the
-	// topological order is partitioned into antichain stages and each
-	// stage's node maintenance and VAP polls run on at most n worker
-	// goroutines (n = 1 exercises the staged path single-threaded).
+	// Deprecated: PropagateWorkers is ignored. Update transactions always
+	// run the staged kernel (parallel.go) on a pool of GOMAXPROCS workers,
+	// and VAP polls fan out one goroutine per polled source.
 	PropagateWorkers int
 	// Metrics, if non-nil, is the registry the mediator instruments
 	// itself into (observe.go) — share one registry across components to
@@ -269,8 +265,14 @@ type Mediator struct {
 	// version from vstore instead.
 	mu     sync.Mutex
 	vstore *store.Store
-	// workers is Config.PropagateWorkers, fixed at construction.
-	workers int
+	// kernel is phase (c) of an update transaction: the staged kernel on
+	// a GOMAXPROCS-sized pool, fixed at construction. Tests swap in the
+	// serial reference kernel through this field (export_test.go).
+	kernel func(b *store.Builder, combined *delta.Delta, temps *tempResult) (map[string]*delta.RelDelta, error)
+	// fanOutPolls issues a transaction's per-source polls concurrently.
+	// It is off when the clock drives a single-threaded simulation
+	// (clock.Sequential), whose sources must be polled on its goroutine.
+	fanOutPolls bool
 
 	leafSchemas map[string]*relation.Schema
 
@@ -381,8 +383,13 @@ func New(cfg Config) (*Mediator, error) {
 		capture:         make(map[string]bool),
 		announceCh:      make(chan struct{}, 1),
 		resil:           cfg.Resilience,
-		workers:         cfg.PropagateWorkers,
 	}
+	pool := runtime.GOMAXPROCS(0)
+	m.kernel = func(b *store.Builder, combined *delta.Delta, temps *tempResult) (map[string]*delta.RelDelta, error) {
+		return m.kernelStaged(b, combined, temps, pool)
+	}
+	_, sequential := cfg.Clock.(clock.Sequential)
+	m.fanOutPolls = !sequential
 	m.plan.Store(&planEpoch{v: cfg.VDP, contributors: classifyContributors(cfg.VDP)})
 	for _, s := range cfg.VDP.Sources() {
 		conn, ok := cfg.Sources[s]

@@ -12,7 +12,7 @@ import (
 	"squirrel/internal/trace"
 )
 
-// newWorkersEnv is newEnv with the staged kernel enabled.
+// newWorkersEnv is newEnv with the kernel executor selected (useKernel).
 func newWorkersEnv(t *testing.T, workers int) *testEnv {
 	t.Helper()
 	clk := &clock.Logical{}
@@ -34,15 +34,15 @@ func newWorkersEnv(t *testing.T, workers int) *testEnv {
 	v := paperPlan(t, nil, nil, nil)
 	rec := trace.NewRecorder()
 	med, err := New(Config{
-		VDP:              v,
-		Sources:          map[string]SourceConn{"db1": LocalSource{DB: db1}, "db2": LocalSource{DB: db2}},
-		Clock:            clk,
-		Recorder:         rec,
-		PropagateWorkers: workers,
+		VDP:      v,
+		Sources:  map[string]SourceConn{"db1": LocalSource{DB: db1}, "db2": LocalSource{DB: db2}},
+		Clock:    clk,
+		Recorder: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	useKernel(med, workers)
 	ConnectLocal(med, db1)
 	ConnectLocal(med, db2)
 	if err := med.Initialize(); err != nil {

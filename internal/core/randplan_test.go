@@ -188,10 +188,11 @@ func buildRandomPlanWorkers(t *testing.T, rng *rand.Rand, workers int) *randPlan
 		t.Fatalf("generated plan invalid: %v\nshape=%d", err, shape)
 	}
 	rec := trace.NewRecorder()
-	med, err := New(Config{VDP: plan, Sources: conns, Clock: clk, Recorder: rec, PropagateWorkers: workers})
+	med, err := New(Config{VDP: plan, Sources: conns, Clock: clk, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
+	useKernel(med, workers)
 	for _, db := range dbs {
 		ConnectLocal(med, db)
 	}

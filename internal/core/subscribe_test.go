@@ -348,8 +348,7 @@ func TestSubscriptionSoak(t *testing.T) {
 		VDP: paperPlan(t, nil, nil, nil),
 		Sources: map[string]SourceConn{
 			"db1": LocalSource{DB: db1}, "db2": LocalSource{DB: db2}},
-		Clock:            clk,
-		PropagateWorkers: 4,
+		Clock: clk,
 	})
 	if err != nil {
 		t.Fatal(err)

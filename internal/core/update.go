@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"squirrel/internal/algebra"
 	"squirrel/internal/clock"
 	"squirrel/internal/delta"
 	"squirrel/internal/metrics"
@@ -275,14 +274,13 @@ func (m *Mediator) coalesceAnnouncements(snapshot []source.Announcement) (*delta
 	return combined.Compact(), newRef
 }
 
-// runKernel dispatches phase (c) to the configured executor: the serial
-// reference kernel (PropagateWorkers == 0, the differential oracle's
-// ground truth) or the staged kernel (parallel.go). Both return the
-// store-schema-projected ΔR applied to each stored node — the per-export
-// delta stream the subscription registry ships (subscribe.go). Retaining
-// the deltas by reference is safe: a node's pending accumulator receives
-// no further Smash once the node is processed (its children all precede
-// it in the topological order).
+// runKernel runs phase (c), the Kernel Algorithm (§6.4), on the
+// mediator's kernel executor. It returns the store-schema-projected ΔR
+// applied to each stored node — the per-export delta stream the
+// subscription registry ships (subscribe.go). Retaining the deltas by
+// reference is safe: a node's pending accumulator receives no further
+// Smash once the node is processed (its children all precede it in the
+// topological order).
 func (m *Mediator) runKernel(b *store.Builder, combined *delta.Delta, temps *tempResult) (map[string]*delta.RelDelta, error) {
 	// Sibling rows the rules read, by access path: the kernel runs under
 	// txnMu, so the plan's cumulative counts move only on its behalf here.
@@ -293,92 +291,7 @@ func (m *Mediator) runKernel(b *store.Builder, combined *delta.Delta, temps *tem
 		m.obs.probeRows.Add(probed - probed0)
 		m.obs.scanRows.Add(scanned - scanned0)
 	}()
-	if m.workers >= 1 {
-		return m.kernelStaged(b, combined, temps, m.workers)
-	}
 	return m.kernel(b, combined, temps)
-}
-
-// kernel runs the IUP Kernel Algorithm (§6.4) over the combined leaf delta
-// with the given temporaries standing in for virtual/hybrid node states.
-// All materialized reads and writes go through the builder, whose reads
-// see the transaction's own writes first — the sibling-state discipline
-// the in-place store used to provide. This serial form is the reference
-// implementation: the staged kernel must produce byte-identical stores
-// (randplan_test.go's differential oracle enforces it).
-func (m *Mediator) kernel(b *store.Builder, combined *delta.Delta, temps *tempResult) (map[string]*delta.RelDelta, error) {
-	var tempRels map[string]*relation.Relation
-	if temps != nil {
-		tempRels = temps.temps
-	}
-	resolve := resolverFor(b, tempRels)
-	pending := make(map[string]*delta.RelDelta)
-	captured := make(map[string]*delta.RelDelta)
-	v := m.curVDP() // stable: the kernel runs under txnMu
-	for _, name := range v.Order() {
-		n := v.Node(name)
-		var dn *delta.RelDelta
-		if n.IsLeaf() {
-			dn = combined.Get(name)
-		} else {
-			dn = pending[name]
-		}
-		if dn == nil || dn.IsEmpty() {
-			continue
-		}
-		// Fire the rules of the in-edges: propagate Δ(name) to parents —
-		// but only along paths that reach materialized data; virtual-only
-		// subgraphs are the VAP's job.
-		for _, parent := range v.Parents(name) {
-			if !v.MaterializationRelevant(parent) {
-				continue
-			}
-			contrib, err := v.Propagate(parent, name, dn, resolve)
-			if err != nil {
-				return nil, fmt.Errorf("core: rule (%s, %s): %w", parent, name, err)
-			}
-			if acc, ok := pending[parent]; ok {
-				acc.Smash(contrib)
-			} else {
-				pending[parent] = contrib
-			}
-		}
-		if n.IsLeaf() {
-			continue // leaves hold no mediator state
-		}
-		// Process the node: apply Δ to its temporary (if any) and to the
-		// materialized portion of its store. A temporary holds
-		// π_B σ_cond of the node, so the delta passes through the same
-		// selection before the projection (both commute with apply, §6.2).
-		if temp, ok := tempRels[name]; ok {
-			toApply := dn
-			if cond := temps.conds[name]; !algebra.IsTrue(cond) {
-				filtered, err := dn.Select(algebra.Compile(cond, n.Schema))
-				if err != nil {
-					return nil, err
-				}
-				toApply = filtered
-			}
-			narrowed, err := projectRelDelta(toApply, n.Schema, temp.Schema())
-			if err != nil {
-				return nil, err
-			}
-			if err := narrowed.ApplyTo(temp, true); err != nil {
-				return nil, fmt.Errorf("core: applying Δ%s to temporary: %w", name, err)
-			}
-		}
-		if st := b.Mutable(name); st != nil {
-			narrowed, err := projectRelDelta(dn, n.Schema, st.Schema())
-			if err != nil {
-				return nil, err
-			}
-			if err := narrowed.ApplyTo(st, true); err != nil {
-				return nil, fmt.Errorf("core: applying Δ%s to store: %w", name, err)
-			}
-			captured[name] = narrowed
-		}
-	}
-	return captured, nil
 }
 
 // projectRelDelta narrows a full-width node delta onto the attributes of a

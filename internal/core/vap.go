@@ -117,14 +117,14 @@ func (m *Mediator) buildTemporaries(ep *planEpoch, plan []vdp.Requirement, view 
 
 	// Poll each source once, packaging all its reads into a single
 	// transaction (§6.3's requirement for virtual contributors; harmless
-	// and efficient for hybrid contributors too). Distinct sources share
-	// no poll state — the fault boundary is per source, and the poll
-	// cache and announcement log sit behind leaf locks — so when the
-	// mediator is configured with a worker pool (PropagateWorkers > 1)
-	// the polls issue concurrently and their latencies overlap. Answers
-	// are then compensated and merged serially in sorted source order,
-	// which keeps the constructed temporaries (and the first reported
-	// error) deterministic regardless of poll completion order.
+	// and efficient for hybrid contributors too). Polls are I/O-bound and
+	// distinct sources share no poll state — the fault boundary is per
+	// source, and the poll cache and announcement log sit behind leaf
+	// locks — so each polled source gets its own goroutine and the
+	// latencies overlap (serially on a simulated clock; see fanOutPolls).
+	// Answers are then compensated and merged serially in sorted source
+	// order, which keeps the constructed temporaries (and the first
+	// reported error) deterministic regardless of poll completion order.
 	sources := make([]string, 0, len(bySource))
 	for s := range bySource {
 		sources = append(sources, s)
@@ -138,8 +138,8 @@ func (m *Mediator) buildTemporaries(ep *planEpoch, plan []vdp.Requirement, view 
 	}
 	outs := make([]pollOut, len(sources))
 	pollWorkers := 1
-	if m.workers > 1 {
-		pollWorkers = m.workers
+	if m.fanOutPolls {
+		pollWorkers = len(sources)
 	}
 	if err := runBounded(pollWorkers, len(sources), func(i int) error {
 		src := sources[i]

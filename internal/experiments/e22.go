@@ -91,7 +91,7 @@ func newFedEnv(seedR int) (*fedEnv, error) {
 		med, err := core.New(core.Config{VDP: plan, Sources: map[string]core.SourceConn{
 			e.leaves[left].Name():  core.LocalSource{DB: e.leaves[left]},
 			e.leaves[right].Name(): core.LocalSource{DB: e.leaves[right]},
-		}, Clock: e.clk, PropagateWorkers: 2})
+		}, Clock: e.clk})
 		if err != nil {
 			return err
 		}
@@ -137,7 +137,7 @@ func newFedEnv(seedR int) (*fedEnv, error) {
 	top, err := core.New(core.Config{VDP: plan, Sources: map[string]core.SourceConn{
 		e.exps[0].Name(): e.exps[0],
 		e.exps[1].Name(): e.exps[1],
-	}, Clock: e.clk, PropagateWorkers: 2})
+	}, Clock: e.clk})
 	if err != nil {
 		return nil, err
 	}

@@ -116,7 +116,7 @@ func (e *oracleEnv) newTierA(t testing.TB) *core.Mediator {
 			"db1": core.LocalSource{DB: e.db1},
 			"db2": core.LocalSource{DB: e.db2},
 		},
-		Clock: e.clk, PropagateWorkers: 2})
+		Clock: e.clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func (e *oracleEnv) newFlat(t testing.TB) *core.Mediator {
 			"db1": core.LocalSource{DB: e.db1},
 			"db2": core.LocalSource{DB: e.db2},
 		},
-		Clock: e.clk, PropagateWorkers: 2})
+		Clock: e.clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func newTop(t testing.TB, e *oracleEnv, conn *swapConn, x *Exporter) *core.Media
 	}
 	top, err := core.New(core.Config{VDP: plan,
 		Sources: map[string]core.SourceConn{x.Name(): conn},
-		Clock:   e.clk, PropagateWorkers: 2})
+		Clock:   e.clk})
 	if err != nil {
 		t.Fatal(err)
 	}

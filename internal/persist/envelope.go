@@ -114,7 +114,7 @@ func SaveFile(path string, snap *core.StateSnapshot) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	return syncDir(dir)
+	return SyncDir(dir)
 }
 
 // LoadFile reads a snapshot from path.
@@ -127,10 +127,11 @@ func LoadFile(path string) (*core.StateSnapshot, error) {
 	return Load(f)
 }
 
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-// Errors are surfaced: on filesystems that reject directory fsync the
-// caller may choose to ignore them, but silent loss is not our call.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so a just-created or just-renamed entry
+// survives a crash. Errors are surfaced: on filesystems that reject
+// directory fsync the caller may choose to ignore them, but silent loss
+// is not our call.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)

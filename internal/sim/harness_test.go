@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"squirrel/internal/clock"
@@ -173,5 +175,45 @@ func TestInitialStateLoading(t *testing.T) {
 	got := h.Med.StoreSnapshot("T")
 	if got == nil || got.Card() != 1 {
 		t.Fatalf("initial view: %v", got)
+	}
+}
+
+// TestTwoSourcePollsStayOnSimGoroutine: with T and both leaf-parents
+// virtual, every query polls db1 and db2 in one pass. The simulator is a
+// clock.Sequential, so the mediator must issue those polls on the
+// simulation's goroutine: the run is then race-free and its trace is the
+// same on every run.
+func TestTwoSourcePollsStayOnSimGoroutine(t *testing.T) {
+	run := func() string {
+		plan := simPlan(t, func(b *vdp.Builder) {
+			b.Annotate("T", vdp.Ann(nil, []string{"r1", "r3", "s1", "s2"}))
+			b.Annotate("R'", vdp.Ann(nil, []string{"r1", "r2", "r3"}))
+			b.Annotate("S'", vdp.Ann(nil, []string{"s1", "s2"}))
+		})
+		h, err := NewHarness(plan, nil, testDelays())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Sim.Horizon = 20000
+		driveWorkload(h, 20000, nil)
+		h.Sim.Run()
+		if err := h.Environment().CheckConsistency(); err != nil {
+			t.Fatalf("inconsistent: %v", err)
+		}
+		var b strings.Builder
+		for _, q := range h.Rec.Queries() {
+			if q.Polled != 2 {
+				t.Fatalf("query at %d polled %d sources, want 2", q.Committed, q.Polled)
+			}
+			fmt.Fprintf(&b, "%d %v\n%s", q.Committed, q.Reflect, q.Answer)
+		}
+		return b.String()
+	}
+	first := run()
+	if first == "" {
+		t.Fatal("no queries ran")
+	}
+	if again := run(); again != first {
+		t.Fatalf("trace differs between runs:\n--- first ---\n%s--- again ---\n%s", first, again)
 	}
 }

@@ -71,6 +71,13 @@ func (s *Sim) Now() clock.Time {
 	return t
 }
 
+// Sequential marks the simulator as a clock.Sequential: it is
+// single-threaded, so its users must not read it from goroutines of
+// their own.
+func (s *Sim) Sequential() {}
+
+var _ clock.Sequential = (*Sim)(nil)
+
 // Time returns the current virtual time without consuming a timestamp.
 func (s *Sim) Time() clock.Time { return s.now }
 

@@ -57,21 +57,6 @@ func (v *VDP) computeStages() {
 // modify it.
 func (v *VDP) Stages() [][]string { return v.stages }
 
-// StageCount reports the number of antichain stages.
-func (v *VDP) StageCount() int { return len(v.stages) }
-
-// MaxStageWidth reports the size of the widest antichain stage — the
-// maximum parallelism a staged executor can extract from this plan.
-func (v *VDP) MaxStageWidth() int {
-	w := 0
-	for _, s := range v.stages {
-		if len(s) > w {
-			w = len(s)
-		}
-	}
-	return w
-}
-
 // TopoIndex returns the node's position in Order(), or -1 if unknown.
 // The staged kernel uses it to decide, for two dirty nodes sharing a
 // stage, which resolves to its new state when the other's rules fire.

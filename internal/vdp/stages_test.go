@@ -15,6 +15,21 @@ func intSchema(name string, attrs ...string) *relation.Schema {
 	return relation.MustSchema(name, as, attrs[0])
 }
 
+// StageCount reports the number of antichain stages.
+func (v *VDP) StageCount() int { return len(v.stages) }
+
+// MaxStageWidth reports the size of the widest antichain stage — the
+// maximum parallelism a staged executor can extract from this plan.
+func (v *VDP) MaxStageWidth() int {
+	w := 0
+	for _, s := range v.stages {
+		if len(s) > w {
+			w = len(s)
+		}
+	}
+	return w
+}
+
 // checkStageInvariants asserts the three Stages() guarantees the staged
 // kernel relies on (see stages.go).
 func checkStageInvariants(t *testing.T, v *VDP) {

@@ -94,7 +94,7 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 }
 
 // BenchmarkWALReplay measures recovery's replay rate: records re-applied
-// per second through the serial reference kernel, decode included.
+// per second through the staged kernel, decode included.
 func BenchmarkWALReplay(b *testing.B) {
 	const records = 64
 	e := newWalEnv(b)

@@ -492,11 +492,21 @@ func (m *Manager) Checkpoint() error {
 	return m.gcLocked()
 }
 
+// syncDir makes a new directory entry durable; tests swap it to observe
+// when rotation syncs.
+var syncDir = persist.SyncDir
+
 // rotateLocked (mu held) seals the open segment and opens a fresh one
-// based at base.
+// based at base. The directory is synced before the segment takes its
+// first record: without that, a crash can lose the segment's entry, and
+// with it every commit whose own fsync succeeded.
 func (m *Manager) rotateLocked(base uint64) error {
 	f, err := os.OpenFile(m.segPath(base), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	if err := syncDir(m.opts.Dir); err != nil {
+		f.Close()
 		return fmt.Errorf("wal: %w", err)
 	}
 	var file File = f

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -485,6 +486,49 @@ func TestManagerCheckpointRetiresLog(t *testing.T) {
 	if got := snapBytes(t, med2); !bytes.Equal(got, want) {
 		t.Fatal("recovered state differs after compaction")
 	}
+}
+
+// TestManagerRotationSyncsDir: the segment a checkpoint rotates to has
+// its directory entry synced after the file is created and before the
+// first record is appended to it.
+func TestManagerRotationSyncsDir(t *testing.T) {
+	dir := t.TempDir()
+	e := newWalEnv(t)
+	med := e.startFresh(t)
+	mgr := openManager(t, dir, nil)
+	if err := mgr.Start(med); err != nil {
+		t.Fatal(err)
+	}
+	e.commit(t, med)
+	var seen []string // "<segment>=<size>" for every live segment, per sync
+	orig := syncDir
+	syncDir = func(d string) error {
+		entries, err := os.ReadDir(d)
+		if err != nil {
+			return err
+		}
+		for _, ent := range entries {
+			if info, err := ent.Info(); err == nil && strings.HasPrefix(ent.Name(), "wal-") {
+				seen = append(seen, fmt.Sprintf("%s=%d", ent.Name(), info.Size()))
+			}
+		}
+		return orig(d)
+	}
+	t.Cleanup(func() { syncDir = orig })
+	if err := mgr.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mgr.mu.Lock()
+	seg := filepath.Base(mgr.segPath(mgr.segBase))
+	mgr.mu.Unlock()
+	if want := seg + "=0"; !slices.Contains(seen, want) {
+		t.Fatalf("directory syncs saw segments %v, want %s (created, still empty)", seen, want)
+	}
+	e.commit(t, med)
+	if info, err := os.Stat(filepath.Join(dir, seg)); err != nil || info.Size() == 0 {
+		t.Fatalf("commit after the rotation did not land in %s: %v", seg, err)
+	}
+	mgr.Kill()
 }
 
 // TestManagerPeriodicCompaction: CompactEvery triggers the async

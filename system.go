@@ -29,7 +29,6 @@ type System struct {
 	plan    *VDP
 	wal     *wal.Manager
 	resil   ResilienceConfig
-	workers int
 	started bool
 }
 
@@ -180,21 +179,6 @@ func (s *System) SetResilience(cfg ResilienceConfig) {
 	s.resil = cfg
 }
 
-// SetPropagateWorkers selects the mediator's update-propagation executor:
-// 0 (the default) runs the serial reference kernel; n >= 1 runs the
-// staged kernel, which partitions the VDP's topological order into
-// antichain stages and maintains each stage's nodes — and issues its
-// VAP source polls — on at most n worker goroutines. Both executors
-// produce identical stores (the staged kernel replays the serial
-// sibling-state discipline); n > 1 buys throughput on wide plans. Call
-// before Start.
-func (s *System) SetPropagateWorkers(n int) {
-	if s.started {
-		panic("squirrel: SetPropagateWorkers after Start")
-	}
-	s.workers = n
-}
-
 // assemble validates the plan and builds a mediator over the registered
 // sources — shared by every Start variant. Announcement feeds are NOT
 // connected: a recovering mediator must replay with an empty queue.
@@ -208,7 +192,7 @@ func (s *System) assemble() (*VDP, *Mediator, error) {
 		conns[name] = core.LocalSource{DB: src.db}
 	}
 	med, err := core.New(core.Config{VDP: plan, Sources: conns, Clock: s.clk, Recorder: s.rec,
-		Resilience: s.resil, PropagateWorkers: s.workers})
+		Resilience: s.resil})
 	if err != nil {
 		return nil, nil, err
 	}
