@@ -52,10 +52,14 @@ func (d *RelDelta) Rel() string { return d.rel }
 
 // Add adjusts the signed count of t by n. Counts that reach zero are
 // removed (an insertion and a deletion of the same tuple annihilate, which
-// is exactly additive smash at the tuple level).
+// is exactly additive smash at the tuple level). A tuple whose arity
+// differs from the delta's earlier tuples panics, as relation.Add does.
 func (d *RelDelta) Add(t relation.Tuple, n int) {
 	if n == 0 {
 		return
+	}
+	if d.tm != nil && len(t) != d.tm.Arity() {
+		panic(fmt.Sprintf("delta: arity mismatch adding to %s: tuple %s, arity %d", d.rel, t, d.tm.Arity()))
 	}
 	d.lazy(len(t)).Add(t, int64(n), relation.ModeSigned)
 }
@@ -223,11 +227,15 @@ func (d *RelDelta) SmashSet(o *RelDelta) {
 // any redundant atom (inserting a tuple already at its maximum multiplicity
 // in a set relation, or deleting more occurrences than exist); otherwise
 // effects are clamped. The relation name is not checked so that deltas can
-// be applied to renamed copies. Atoms apply slot-wise into the relation's
+// be applied to renamed copies, but a delta whose arity differs from the
+// relation's is an error. Atoms apply slot-wise into the relation's
 // columnar store.
 func (d *RelDelta) ApplyTo(rel *relation.Relation, strict bool) error {
 	if d.tm == nil {
 		return nil
+	}
+	if a := rel.Schema().Arity(); d.tm.Arity() != a {
+		return fmt.Errorf("delta: %s has arity %d, relation %s has %d", d.rel, d.tm.Arity(), rel.Schema().Name(), a)
 	}
 	var err error
 	d.tm.EachSlot(func(s int32, n int64) bool {

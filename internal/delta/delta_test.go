@@ -417,6 +417,39 @@ func TestApplyStrictDetectsRedundancy(t *testing.T) {
 	}
 }
 
+// TestAddArityMismatchPanics: a tuple of the wrong arity is a caller bug,
+// never a silently truncated atom.
+func TestAddArityMismatchPanics(t *testing.T) {
+	d := NewRel("R")
+	d.Add(relation.T(1, 2), 1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("adding a 3-tuple to a 2-ary delta must panic; delta now %s", d)
+			}
+		}()
+		d.Add(relation.T(3, 4, 5), 1)
+	}()
+	if d.Len() != 1 || d.Count(relation.T(1, 2)) != 1 {
+		t.Errorf("delta after the refused add: %s", d)
+	}
+}
+
+func TestApplyToArityMismatch(t *testing.T) {
+	rel := relation.NewSet(schemaR(t))
+	rel.Insert(relation.T(1, 1))
+	d := NewRel("R")
+	d.Insert(relation.T(7))
+	for _, strict := range []bool{true, false} {
+		if err := d.ApplyTo(rel, strict); err == nil {
+			t.Errorf("strict=%v: a 1-ary delta must not apply to a 2-ary relation", strict)
+		}
+	}
+	if rel.Card() != 1 {
+		t.Errorf("relation changed by a refused apply: %s", rel)
+	}
+}
+
 func TestSmashSetOverride(t *testing.T) {
 	// Paper/HJ91: Δ1 ! Δ2 = union with conflicting atoms of Δ1 removed.
 	d1 := NewRel("R")

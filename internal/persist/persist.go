@@ -21,8 +21,8 @@ import (
 // Version identifies the envelope layout. Version 3 frames the JSON
 // payload with a magic + CRC32C + length header line (see envelope.go) so
 // corruption is detected before decoding, and stores relations in the
-// columnar encoding (wire.EncodeRelationColumnar). Load reads only this
-// version.
+// wire's columnar relation form (wire.EncodeRelation), the same one poll
+// answers carry. Load reads only this version.
 const Version = 3
 
 type envelope struct {
@@ -98,7 +98,7 @@ func Save(w io.Writer, snap *core.StateSnapshot) error {
 		Annotations:   encodeAnnotations(snap.Annotations),
 	}
 	for name, rel := range snap.Store {
-		env.Store[name] = wire.EncodeRelationColumnar(rel)
+		env.Store[name] = wire.EncodeRelation(rel)
 	}
 	payload, err := json.MarshalIndent(env, "", " ")
 	if err != nil {

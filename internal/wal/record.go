@@ -23,11 +23,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 
 	"squirrel/internal/clock"
 	"squirrel/internal/core"
-	"squirrel/internal/delta"
 	"squirrel/internal/persist"
 	"squirrel/internal/wire"
 )
@@ -135,15 +133,7 @@ func encodeCommit(rec *core.CommitRecord) ([]byte, error) {
 		Announcements: rec.Announcements,
 	}
 	if rec.Delta != nil {
-		rels := append([]string(nil), rec.Delta.Relations()...)
-		sort.Strings(rels)
-		for _, rel := range rels {
-			rd := rec.Delta.Get(rel)
-			if rd == nil || rd.IsEmpty() {
-				continue
-			}
-			p.Deltas = append(p.Deltas, wire.EncodeRelDeltaColumnar(rd))
-		}
+		p.Deltas = wire.EncodeDelta(rec.Delta).Rels
 	}
 	return json.Marshal(p)
 }
@@ -158,26 +148,23 @@ func decodeCommit(payload []byte) (*core.CommitRecord, error) {
 	if p.Version == 0 {
 		return nil, fmt.Errorf("wal: commit payload has no version")
 	}
+	d, err := wire.Delta{Rels: p.Deltas}.Decode()
+	if err != nil {
+		return nil, fmt.Errorf("wal: commit v%d: %w", p.Version, err)
+	}
 	rec := &core.CommitRecord{
 		Version:       p.Version,
 		Stamp:         p.Stamp,
 		Reflect:       clock.Vector(p.Reflect),
 		NewRef:        clock.Vector(p.NewRef),
 		Announcements: p.Announcements,
-		Delta:         delta.New(),
+		Delta:         d,
 	}
 	if rec.Reflect == nil {
 		rec.Reflect = clock.Vector{}
 	}
 	if rec.NewRef == nil {
 		rec.NewRef = clock.Vector{}
-	}
-	for _, w := range p.Deltas {
-		rd, err := w.Decode()
-		if err != nil {
-			return nil, fmt.Errorf("wal: commit v%d: %w", p.Version, err)
-		}
-		rec.Delta.Rel(w.Rel).Smash(rd)
 	}
 	return rec, nil
 }

@@ -114,7 +114,7 @@ func (c *Client) connect() error {
 	if c.opts.WrapConn != nil {
 		conn = c.opts.WrapConn(conn)
 	}
-	hello := make(chan string, 1)
+	hello := make(chan Message, 1)
 	done := make(chan struct{})
 	c.mu.Lock()
 	if c.closed {
@@ -129,14 +129,22 @@ func (c *Client) connect() error {
 	c.wmu.Unlock()
 	go c.readLoop(conn, hello, done)
 	select {
-	case name := <-hello:
+	case m := <-hello:
+		err := checkHello(m, nil)
 		c.mu.Lock()
-		if c.name != "" && c.name != name {
+		if err == nil && c.name != "" && c.name != m.Name {
+			err = fmt.Errorf("wire: reconnected to %q, expected %q", m.Name, c.name)
+		}
+		if err != nil {
+			// Disown the connection first, so its read loop exits as
+			// stale instead of treating the refusal as a drop and
+			// starting a second redial loop.
+			c.conn = nil
 			c.mu.Unlock()
 			conn.Close()
-			return fmt.Errorf("wire: reconnected to %q, expected %q", name, c.name)
+			return err
 		}
-		c.name = name
+		c.name = m.Name
 		c.mu.Unlock()
 		return nil
 	case <-done:
@@ -165,7 +173,7 @@ func (c *Client) OnAnnounce(h func(source.Announcement)) {
 	c.handler = h
 }
 
-func (c *Client) readLoop(conn net.Conn, hello chan<- string, done chan struct{}) {
+func (c *Client) readLoop(conn net.Conn, hello chan<- Message, done chan struct{}) {
 	defer close(done)
 	scanner := bufio.NewScanner(conn)
 	scanner.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
@@ -177,7 +185,7 @@ func (c *Client) readLoop(conn net.Conn, hello chan<- string, done chan struct{}
 		switch m.Type {
 		case "hello":
 			select {
-			case hello <- m.Name:
+			case hello <- m:
 			default:
 			}
 		case "announce":

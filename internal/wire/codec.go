@@ -4,6 +4,14 @@
 // update announcements, preserving the per-source FIFO ordering that the
 // Eager Compensation Algorithm requires (an announcement for a commit is
 // always delivered before any query answer that reflects that commit).
+//
+// Relations and deltas have one wire form, columnar: per-attribute
+// type-specialized vectors plus a count vector (Relation, RelDeltaCols).
+// Poll and query answers, announcements, apply requests and subscription
+// frames use it, as do the WAL and persist checkpoints. Every server opens
+// a connection with a hello carrying ProtocolVersion; clients refuse any
+// other version, because JSON drops unknown keys and an old peer's payload
+// would otherwise decode as silently empty.
 package wire
 
 import (
@@ -18,6 +26,28 @@ import (
 	"squirrel/internal/relation"
 	"squirrel/internal/source"
 )
+
+// ProtocolVersion is the version every hello carries. Version 2 made the
+// columnar form the only relation and delta encoding; a hello without a
+// version (0) comes from a version-1 peer, whose answers and
+// announcements used a row form.
+const ProtocolVersion = 2
+
+// checkHello returns err, or an error unless m is a hello of
+// ProtocolVersion.
+func checkHello(m Message, err error) error {
+	if err != nil {
+		return err
+	}
+	if m.Type != "hello" {
+		return fmt.Errorf("wire: expected hello, got %q", m.Type)
+	}
+	if m.Proto != ProtocolVersion {
+		return fmt.Errorf("wire: peer %q speaks protocol version %d, this side speaks %d",
+			m.Name, m.Proto, ProtocolVersion)
+	}
+	return nil
+}
 
 // Value is the wire form of relation.Value.
 type Value struct {
@@ -107,19 +137,14 @@ func (w Schema) Decode() (*relation.Schema, error) {
 	return relation.NewSchema(w.Name, attrs, w.Key...)
 }
 
-// Row is a tuple with a (signed, for deltas) multiplicity.
-type Row struct {
-	T []Value `json:"t"`
-	N int     `json:"n"`
-}
-
-// Relation is the wire form of relation.Relation. Exactly one of Rows
-// (row-oriented, EncodeRelation) or Cols+Counts (columnar,
-// EncodeRelationColumnar) carries the tuples; Decode accepts either.
+// Relation is the wire form of relation.Relation: the schema, the
+// semantics ("set" or "bag"), and the tuples in columnar form — one
+// type-specialized vector per attribute plus a multiplicity vector, in
+// deterministic row order. Poll and query answers, subscription
+// snapshots and persist checkpoints all carry relations in this one form.
 type Relation struct {
 	Schema Schema  `json:"schema"`
 	Sem    string  `json:"sem"`
-	Rows   []Row   `json:"rows,omitempty"`
 	Cols   []Col   `json:"cols,omitempty"`
 	Counts []int64 `json:"counts,omitempty"`
 }
@@ -137,33 +162,17 @@ type Col struct {
 }
 
 // EncodeRelation converts a relation to wire form (deterministic row
-// order).
+// order). Each specialized column round-trips as a bare JSON array, so
+// the form is both small and cheap to decode.
 func EncodeRelation(r *relation.Relation) Relation {
-	out := Relation{Schema: EncodeSchema(r.Schema()), Sem: r.Semantics().String()}
-	for _, row := range r.Rows() {
-		wr := Row{N: row.Count}
-		for _, v := range row.Tuple {
-			wr.T = append(wr.T, EncodeValue(v))
-		}
-		out.Rows = append(out.Rows, wr)
-	}
-	return out
-}
-
-// EncodeRelationColumnar converts a relation to the columnar wire form
-// (deterministic row order): one type-specialized vector per attribute
-// plus a multiplicity vector. Snapshots use it — for a wide store it is
-// both smaller and cheaper to decode than the row form, since each
-// specialized column round-trips as a bare JSON array.
-func EncodeRelationColumnar(r *relation.Relation) Relation {
 	out := Relation{Schema: EncodeSchema(r.Schema()), Sem: r.Semantics().String()}
 	out.Cols, out.Counts = encodeCols(r.Rows(), r.Schema().Arity())
 	return out
 }
 
 // encodeCols renders rows (tuples of uniform arity plus signed counts) as
-// type-specialized column vectors: the shared core of the columnar
-// relation and delta encodings. Empty input yields nil/nil.
+// type-specialized column vectors: the shared core of the relation and
+// delta encodings. Empty input yields nil/nil.
 func encodeCols(rows []relation.Row, arity int) ([]Col, []int64) {
 	if len(rows) == 0 {
 		return nil, nil
@@ -213,9 +222,13 @@ func encodeCols(rows []relation.Row, arity int) ([]Col, []int64) {
 }
 
 // decodeCols validates column/count agreement and streams each decoded
-// (tuple, count) row to add. arity < 0 skips the arity check (the delta
-// form carries no schema, so the column count is the arity).
+// (tuple, count) row to add. No columns and no counts is the empty
+// relation. arity < 0 skips the arity check (the delta form carries no
+// schema, so the column count is the arity).
 func decodeCols(cols []Col, counts []int64, arity int, add func(t relation.Tuple, n int) error) error {
+	if len(cols) == 0 && len(counts) == 0 {
+		return nil
+	}
 	if arity >= 0 && len(cols) != arity {
 		return fmt.Errorf("wire: columnar relation has %d columns, schema arity %d", len(cols), arity)
 	}
@@ -240,19 +253,20 @@ func decodeCols(cols []Col, counts []int64, arity int, add func(t relation.Tuple
 	return nil
 }
 
-// RelDeltaCols is the columnar wire form of one relation's delta
+// RelDeltaCols is the wire form of one relation's delta
 // (delta.RelDelta): type-specialized column vectors plus a SIGNED count
 // vector (positive = insertion atoms, negative = deletion atoms), in the
-// delta's deterministic row order. The write-ahead delta log
-// (internal/wal) persists committed update transactions in this form.
+// delta's deterministic row order. Announcements, apply requests,
+// subscription frames and the write-ahead delta log (internal/wal) all
+// carry deltas in this form.
 type RelDeltaCols struct {
 	Rel    string  `json:"rel"`
 	Cols   []Col   `json:"cols,omitempty"`
 	Counts []int64 `json:"counts,omitempty"`
 }
 
-// EncodeRelDeltaColumnar converts a relation delta to columnar wire form.
-func EncodeRelDeltaColumnar(d *delta.RelDelta) RelDeltaCols {
+// EncodeRelDelta converts a relation delta to wire form.
+func EncodeRelDelta(d *delta.RelDelta) RelDeltaCols {
 	out := RelDeltaCols{Rel: d.Rel()}
 	rows := d.Rows()
 	arity := 0
@@ -263,12 +277,9 @@ func EncodeRelDeltaColumnar(d *delta.RelDelta) RelDeltaCols {
 	return out
 }
 
-// Decode converts a columnar wire delta back.
+// Decode converts a wire relation delta back.
 func (w RelDeltaCols) Decode() (*delta.RelDelta, error) {
 	out := delta.NewRel(w.Rel)
-	if len(w.Cols) == 0 && len(w.Counts) == 0 {
-		return out, nil
-	}
 	err := decodeCols(w.Cols, w.Counts, -1, func(t relation.Tuple, n int) error {
 		if n == 0 {
 			return fmt.Errorf("wire: delta %q carries a zero-count tuple", w.Rel)
@@ -309,80 +320,63 @@ func (c *Col) length() int {
 	return len(c.V)
 }
 
-// Decode converts a wire relation back, accepting either the row or the
-// columnar encoding.
+// Decode converts a wire relation back. Every count must be positive and
+// the semantics must be "set" or "bag".
 func (w Relation) Decode() (*relation.Relation, error) {
 	schema, err := w.Schema.Decode()
 	if err != nil {
 		return nil, err
 	}
-	sem := relation.Bag
-	if w.Sem == "set" {
+	var sem relation.Semantics
+	switch w.Sem {
+	case "set":
 		sem = relation.Set
+	case "bag":
+		sem = relation.Bag
+	default:
+		return nil, fmt.Errorf("wire: relation %q has unknown semantics %q", w.Schema.Name, w.Sem)
 	}
 	out := relation.New(schema, sem)
-	if len(w.Cols) > 0 || len(w.Counts) > 0 {
-		err := decodeCols(w.Cols, w.Counts, schema.Arity(), func(t relation.Tuple, n int) error {
-			out.Add(t, n)
-			return nil
-		})
-		if err != nil {
-			return nil, err
+	err = decodeCols(w.Cols, w.Counts, schema.Arity(), func(t relation.Tuple, n int) error {
+		if n <= 0 {
+			return fmt.Errorf("wire: relation %q carries count %d", w.Schema.Name, n)
 		}
-		return out, nil
-	}
-	for _, row := range w.Rows {
-		t := make(relation.Tuple, len(row.T))
-		for i, v := range row.T {
-			dv, err := v.Decode()
-			if err != nil {
-				return nil, err
-			}
-			t[i] = dv
-		}
-		out.Add(t, row.N)
+		out.Add(t, n)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// Delta is the wire form of delta.Delta: per-relation signed rows.
+// Delta is the wire form of delta.Delta: one RelDeltaCols per relation
+// with atoms, in sorted relation order.
 type Delta struct {
-	Rels map[string][]Row `json:"rels"`
+	Rels []RelDeltaCols `json:"rels,omitempty"`
 }
 
 // EncodeDelta converts a delta to wire form.
 func EncodeDelta(d *delta.Delta) Delta {
-	out := Delta{Rels: map[string][]Row{}}
+	var out Delta
 	for _, rel := range d.Relations() {
-		rd := d.Get(rel)
-		var rows []Row
-		for _, row := range rd.Rows() {
-			wr := Row{N: row.Count}
-			for _, v := range row.Tuple {
-				wr.T = append(wr.T, EncodeValue(v))
-			}
-			rows = append(rows, wr)
-		}
-		out.Rels[rel] = rows
+		out.Rels = append(out.Rels, EncodeRelDelta(d.Get(rel)))
 	}
 	return out
 }
 
-// Decode converts a wire delta back.
+// Decode converts a wire delta back. A relation may appear only once.
 func (w Delta) Decode() (*delta.Delta, error) {
 	out := delta.New()
-	for rel, rows := range w.Rels {
-		for _, row := range rows {
-			t := make(relation.Tuple, len(row.T))
-			for i, v := range row.T {
-				dv, err := v.Decode()
-				if err != nil {
-					return nil, err
-				}
-				t[i] = dv
-			}
-			out.Add(rel, t, row.N)
+	for _, wr := range w.Rels {
+		if out.Get(wr.Rel) != nil {
+			return nil, fmt.Errorf("wire: delta lists relation %q twice", wr.Rel)
 		}
+		rd, err := wr.Decode()
+		if err != nil {
+			return nil, err
+		}
+		out.Put(rd)
 	}
 	return out, nil
 }
@@ -631,8 +625,9 @@ type Message struct {
 	Version uint64 `json:"version,omitempty"`
 	// type "error".
 	Error string `json:"error,omitempty"`
-	// type "hello": server identifies itself.
-	Name string `json:"name,omitempty"`
+	// type "hello": server identifies itself and its ProtocolVersion.
+	Name  string `json:"name,omitempty"`
+	Proto int    `json:"proto,omitempty"`
 	// type "catalog" (reply): the source's relation schemas.
 	Schemas []Schema `json:"schemas,omitempty"`
 	// type "answer" to "medstats": the mediator's operation counters and
@@ -683,8 +678,7 @@ type Message struct {
 	Coalesced  int           `json:"coalesced,omitempty"`
 }
 
-// EncodeSubFrame converts a core subscription frame to its wire form
-// (snapshot relations and deltas travel columnar).
+// EncodeSubFrame converts a core subscription frame to its wire form.
 func EncodeSubFrame(f core.SubFrame) Message {
 	m := Message{
 		Type: "frame", Export: f.Export, FrameKind: f.Kind.String(),
@@ -692,11 +686,11 @@ func EncodeSubFrame(f core.SubFrame) Message {
 		Time: f.Stamp, Reflect: f.Reflect, Coalesced: f.Coalesced,
 	}
 	if f.Snapshot != nil {
-		snap := EncodeRelationColumnar(f.Snapshot)
+		snap := EncodeRelation(f.Snapshot)
 		m.Snapshot = &snap
 	}
 	if f.Delta != nil {
-		d := EncodeRelDeltaColumnar(f.Delta)
+		d := EncodeRelDelta(f.Delta)
 		m.FrameDelta = &d
 	}
 	return m

@@ -69,7 +69,7 @@ func TestWaiterUnregisteredOnTimeout(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		conn.Write([]byte(`{"type":"hello","name":"mute"}` + "\n"))
+		conn.Write([]byte(`{"type":"hello","name":"mute","proto":2}` + "\n"))
 		buf := make([]byte, 4096)
 		for {
 			if _, err := conn.Read(buf); err != nil {

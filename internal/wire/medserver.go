@@ -136,7 +136,7 @@ func (s *MediatorServer) serveConn(conn net.Conn) {
 		}
 		pumps.Wait()
 	}()
-	if !send(Message{Type: "hello", Name: "mediator"}) {
+	if !send(Message{Type: "hello", Name: "mediator", Proto: ProtocolVersion}) {
 		return
 	}
 	scanner := bufio.NewScanner(conn)
@@ -331,8 +331,7 @@ func DialMediator(addr string) (*MediatorClient, error) {
 		scanner: bufio.NewScanner(conn),
 	}
 	c.scanner.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	m, err := c.read()
-	if err != nil || m.Type != "hello" {
+	if err := checkHello(c.read()); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("wire: mediator handshake failed: %v", err)
 	}

@@ -246,7 +246,7 @@ func (s *SourceServer) writeLoop(c *srvConn) {
 func (s *SourceServer) readLoop(c *srvConn) {
 	defer s.wg.Done()
 	defer s.drop(c)
-	c.send(Message{Type: "hello", Name: s.db.Name()})
+	c.send(Message{Type: "hello", Name: s.db.Name(), Proto: ProtocolVersion})
 	scanner := bufio.NewScanner(c.conn)
 	scanner.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
 	for scanner.Scan() {

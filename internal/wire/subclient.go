@@ -115,7 +115,7 @@ func (c *SubClient) connect(from uint64) (*bufio.Scanner, error) {
 		}
 		return m, nil
 	}
-	if m, err := read(); err != nil || m.Type != "hello" {
+	if err := checkHello(read()); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("wire: mediator handshake failed: %v", err)
 	}

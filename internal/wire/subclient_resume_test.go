@@ -58,7 +58,7 @@ func TestSubClientRedialResumesAfterHandedOffFrames(t *testing.T) {
 			w.Write(b)
 			w.Flush()
 		}
-		send(Message{Type: "hello", Name: "mediator"})
+		send(Message{Type: "hello", Name: "mediator", Proto: ProtocolVersion})
 		scanner := bufio.NewScanner(conn)
 		if !scanner.Scan() {
 			t.Error("no subscribe request")

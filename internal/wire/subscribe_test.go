@@ -323,7 +323,7 @@ func TestReconnectGateBlocksRequestsUntilOnReconnect(t *testing.T) {
 			connCount <- conn
 			go func(conn net.Conn) {
 				w := bufio.NewWriter(conn)
-				hello, _ := encode(Message{Type: "hello", Name: "fake"})
+				hello, _ := encode(Message{Type: "hello", Name: "fake", Proto: ProtocolVersion})
 				w.Write(hello)
 				w.Flush()
 				scanner := bufio.NewScanner(conn)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"encoding/json"
 	"net"
 	"strings"
 	"testing"
@@ -36,6 +37,8 @@ func TestValueRoundTrip(t *testing.T) {
 }
 
 func TestSchemaAndRelationRoundTrip(t *testing.T) {
+	// A keyed bag and a set: the schema (key included) and the semantics
+	// survive alongside the tuples.
 	s := relation.MustSchema("R", []relation.Attribute{
 		{Name: "a", Type: relation.KindInt}, {Name: "b", Type: relation.KindString}}, "a")
 	r := relation.NewBag(s)
@@ -50,9 +53,12 @@ func TestSchemaAndRelationRoundTrip(t *testing.T) {
 	}
 	set := relation.NewSet(s)
 	set.Insert(relation.T(1, "x"))
-	got2, _ := EncodeRelation(set).Decode()
-	if got2.Semantics() != relation.Set {
-		t.Errorf("set semantics lost")
+	got2, err := EncodeRelation(set).Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got2.Equal(set) || got2.Semantics() != relation.Set {
+		t.Errorf("set round trip:\n%s\nvs\n%s", got2, set)
 	}
 	if _, err := (Schema{Name: "R", Attrs: []Attr{{Name: "a", Type: "zzz"}}}).Decode(); err == nil {
 		t.Errorf("bad type should fail")
@@ -72,36 +78,30 @@ func TestColumnarRelationRoundTrip(t *testing.T) {
 		r.Add(relation.T(1, "x", 2.5, nil), 2)
 		r.Add(relation.T(2, "y", -0.25, true), 1)
 		r.Add(relation.T(-7, "z", 0.0, 3), 4)
-		enc := EncodeRelationColumnar(r)
-		if len(enc.Rows) != 0 || len(enc.Cols) != 4 || len(enc.Counts) != 3 {
-			t.Fatalf("columnar encode shape: rows=%d cols=%d counts=%d",
-				len(enc.Rows), len(enc.Cols), len(enc.Counts))
+		enc := EncodeRelation(r)
+		if len(enc.Cols) != 4 || len(enc.Counts) != 3 {
+			t.Fatalf("encode shape: cols=%d counts=%d", len(enc.Cols), len(enc.Counts))
 		}
 		if enc.Cols[0].Kind != "int" || enc.Cols[1].Kind != "string" ||
 			enc.Cols[2].Kind != "float" || enc.Cols[3].Kind != "mixed" {
 			t.Fatalf("column kinds = %q %q %q %q",
 				enc.Cols[0].Kind, enc.Cols[1].Kind, enc.Cols[2].Kind, enc.Cols[3].Kind)
 		}
-		got, err := enc.Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(r) || got.String() != r.String() {
-			t.Errorf("columnar round trip:\n%svs\n%s", got, r)
-		}
 
-		// Empty relation round-trips too.
-		empty, err := EncodeRelationColumnar(relation.NewSet(s)).Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if empty.Len() != 0 || empty.Semantics() != relation.Set {
-			t.Errorf("empty columnar round trip: len=%d sem=%v", empty.Len(), empty.Semantics())
+		for _, in := range []*relation.Relation{r, relation.NewSet(s)} {
+			got, err := EncodeRelation(in).Decode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(in) || got.String() != in.String() ||
+				got.Schema().String() != in.Schema().String() || got.Semantics() != in.Semantics() {
+				t.Errorf("round trip:\n%svs\n%s", got, in)
+			}
 		}
 	})
 
-	// Malformed columnar payloads are rejected, not silently truncated.
-	enc := EncodeRelationColumnar(func() *relation.Relation {
+	// Malformed payloads are rejected, not silently truncated.
+	enc := EncodeRelation(func() *relation.Relation {
 		r := relation.NewBag(s)
 		r.Add(relation.T(1, "x", 2.5, nil), 1)
 		return r
@@ -119,16 +119,58 @@ func TestColumnarRelationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireDecodeStrict: payloads a correct encoder never writes are
+// errors, not silently reinterpreted relations or deltas.
+func TestWireDecodeStrict(t *testing.T) {
+	const schema = `"schema":{"name":"R","attrs":[{"name":"a","type":"int"}]}`
+	cases := []struct{ name, rel, delta string }{
+		{name: "negative count", rel: `{` + schema + `,"sem":"bag","cols":[{"kind":"int","i":[1]}],"counts":[-3]}`},
+		{name: "zero count", rel: `{` + schema + `,"sem":"set","cols":[{"kind":"int","i":[1]}],"counts":[0]}`},
+		{name: "missing sem", rel: `{` + schema + `,"cols":[{"kind":"int","i":[1]}],"counts":[1]}`},
+		{name: "unknown sem", rel: `{` + schema + `,"sem":"multiset"}`},
+		{name: "delta zero count", delta: `{"rels":[{"rel":"R","cols":[{"kind":"int","i":[1]}],"counts":[0]}]}`},
+		{name: "delta repeats a relation", delta: `{"rels":[{"rel":"R","cols":[{"kind":"int","i":[1]}],"counts":[1]},` +
+			`{"rel":"R","cols":[{"kind":"int","i":[2]}],"counts":[-1]}]}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			if tc.rel != "" {
+				var w Relation
+				if err := json.Unmarshal([]byte(tc.rel), &w); err != nil {
+					t.Fatal(err)
+				}
+				_, err = w.Decode()
+			} else {
+				var w Delta
+				if err := json.Unmarshal([]byte(tc.delta), &w); err != nil {
+					t.Fatal(err)
+				}
+				_, err = w.Decode()
+			}
+			if err == nil {
+				t.Errorf("decode must fail")
+			}
+		})
+	}
+}
+
 func TestDeltaRoundTrip(t *testing.T) {
 	d := delta.New()
 	d.Insert("R", relation.T(1, "x"))
 	d.Add("S", relation.T(9), -3)
-	got, err := EncodeDelta(d).Decode()
-	if err != nil {
-		t.Fatal(err)
+	enc := EncodeDelta(d)
+	if len(enc.Rels) != 2 || enc.Rels[0].Rel != "R" || enc.Rels[1].Rel != "S" {
+		t.Fatalf("relations must be listed once each, sorted: %+v", enc.Rels)
 	}
-	if !got.Equal(d) {
-		t.Errorf("delta round trip:\n%svs\n%s", got, d)
+	for _, in := range []*delta.Delta{d, delta.New()} {
+		got, err := EncodeDelta(in).Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(in) {
+			t.Errorf("delta round trip:\n%svs\n%s", got, in)
+		}
 	}
 }
 
@@ -140,7 +182,7 @@ func TestRelDeltaColumnarRoundTrip(t *testing.T) {
 		d.Add(relation.T(1, "x", 2.5), 2)
 		d.Add(relation.T(2, "y", -0.25), -1) // deletion atoms keep their sign
 		d.Add(relation.T(-7, "z", 0.0), 4)
-		enc := EncodeRelDeltaColumnar(d)
+		enc := EncodeRelDelta(d)
 		if enc.Rel != "R" || len(enc.Cols) != 3 || len(enc.Counts) != 3 {
 			t.Fatalf("encode shape: rel=%q cols=%d counts=%d", enc.Rel, len(enc.Cols), len(enc.Counts))
 		}
@@ -156,7 +198,7 @@ func TestRelDeltaColumnarRoundTrip(t *testing.T) {
 		}
 
 		// Empty delta round-trips to an empty delta.
-		empty, err := EncodeRelDeltaColumnar(delta.NewRel("E")).Decode()
+		empty, err := EncodeRelDelta(delta.NewRel("E")).Decode()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +208,7 @@ func TestRelDeltaColumnarRoundTrip(t *testing.T) {
 	})
 
 	// Malformed payloads are rejected, not silently misread.
-	good := EncodeRelDeltaColumnar(func() *delta.RelDelta {
+	good := EncodeRelDelta(func() *delta.RelDelta {
 		d := delta.NewRel("R")
 		d.Add(relation.T(1, "x"), 1)
 		d.Add(relation.T(2, "y"), -2)
@@ -342,6 +384,32 @@ func TestClientApply(t *testing.T) {
 	}
 }
 
+// TestWireApplyWrongArity: an apply whose delta does not fit the target
+// relation's arity gets an error reply; the server and the connection
+// survive it, and the next correct apply commits.
+func TestWireApplyWrongArity(t *testing.T) {
+	db, _, addr, _ := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	bad := delta.New()
+	bad.Insert("R", relation.T(7))
+	if _, err := c.Apply(EncodeDelta(bad)); err == nil || !strings.Contains(err.Error(), "arity") {
+		t.Fatalf("1-ary apply against 2-ary R = %v, want an arity error", err)
+	}
+	good := delta.New()
+	good.Insert("R", relation.T(7, 70))
+	if ct, err := c.Apply(EncodeDelta(good)); err != nil || ct == 0 {
+		t.Fatalf("apply after the refused one: %d %v", ct, err)
+	}
+	cur, _ := db.Current("R")
+	if cur.Card() != 3 || !cur.Contains(relation.T(7, 70)) {
+		t.Errorf("R after the applies: %s", cur)
+	}
+}
+
 // TestMediatorOverWire runs the full mediator against TCP-served sources:
 // the paper's Figure 3 architecture, end to end.
 func TestMediatorOverWire(t *testing.T) {
@@ -512,7 +580,7 @@ func TestClientTimeout(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		conn.Write([]byte(`{"type":"hello","name":"mute"}` + "\n"))
+		conn.Write([]byte(`{"type":"hello","name":"mute","proto":2}` + "\n"))
 		buf := make([]byte, 4096)
 		for {
 			if _, err := conn.Read(buf); err != nil {
