@@ -98,7 +98,7 @@ func (m *Mediator) logBarrierLocked(reason string) {
 		seq = v.Seq()
 	}
 	if err := m.commitLog.LogBarrier(seq, reason); err != nil {
-		m.stats.walBarrierErrs.Add(1)
+		m.obs.walBarrierErrs.Inc()
 	}
 }
 

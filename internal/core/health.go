@@ -90,10 +90,7 @@ func (m *Mediator) pollSource(src string, specs []source.QuerySpec, allowQuarant
 		// events.
 		before := h.breaker.State().String()
 		if !h.breaker.Allow() {
-			m.stats.breakerFastFails.Add(1)
-			if c := m.obs.fastFails[src]; c != nil {
-				c.Inc()
-			}
+			m.obs.fastFails[src].Inc()
 			m.obs.observeBreaker(src, before, h.breaker.State().String(), h.breaker.Trips())
 			if lastErr != nil {
 				return nil, 0, fmt.Errorf("core: source %q circuit open after %w", src, lastErr)
@@ -121,9 +118,8 @@ func (m *Mediator) pollSource(src string, specs []source.QuerySpec, allowQuarant
 		before = h.breaker.State().String()
 		h.breaker.Failure()
 		m.obs.observeBreaker(src, before, h.breaker.State().String(), h.breaker.Trips())
-		m.stats.pollFailures.Add(1)
 		if attempt < attempts {
-			m.stats.pollRetries.Add(1)
+			m.obs.pollRetries.Inc()
 			m.sleep(h.backoff.Delay(attempt))
 		}
 	}
@@ -219,7 +215,7 @@ func (m *Mediator) quarantineLocked(src, reason string) {
 		return
 	}
 	m.quarantined[src] = reason
-	m.stats.gapsDetected.Add(1)
+	m.obs.gapsDetected.Inc()
 	m.obs.reg.Emit(metrics.Event{Type: metrics.EventQuarantine, Subject: src, Err: reason})
 	m.signalAnnounce()
 }
@@ -286,17 +282,15 @@ func (m *Mediator) resolveSourceLocked(src string, asOf clock.Time) bool {
 		}
 		kept = append(kept, a)
 	}
-	m.queue = trimAnnouncements(kept, oldLen)
+	q := trimAnnouncements(kept, oldLen)
 	for _, a := range pen {
 		if a.Time <= asOf {
 			continue
 		}
-		m.queue = append(m.queue, a)
+		q = append(q, a)
 		lastSeq = a.Seq
 	}
-	if len(m.queue) > m.queueHighWater {
-		m.queueHighWater = len(m.queue)
-	}
+	m.setQueueLocked(q)
 	m.lastSeq[src] = lastSeq
 	delete(m.gapPen, src)
 	delete(m.quarantined, src)

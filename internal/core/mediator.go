@@ -93,7 +93,12 @@ func (l LocalSource) QueryMulti(specs []source.QuerySpec) ([]*relation.Relation,
 	return l.DB.QueryMulti(specs)
 }
 
-// Stats aggregates mediator-side operation counters for the experiments.
+// Stats is a point-in-time view of the mediator's operation counters —
+// the counts §5.3's materialize-or-stay-virtual decision rests on — for
+// the experiments, the CLI and the benchmark. Every counter field reads
+// a metrics-registry series (DESIGN.md §4 names the series behind each
+// one), so Stats and /metrics never disagree. QueueHighWater, the
+// version fields, ResyncsStuck and Sources are state, not counts.
 type Stats struct {
 	UpdateTxns      int
 	QueryTxns       int
@@ -123,11 +128,15 @@ type Stats struct {
 	// SourceHealth.ResyncStuck for the per-source condition.
 	ResyncsStuck int
 	// Kernel counters (parallel.go): stages that had dirty nodes to
-	// process, dirty nodes processed across those stages, and update
-	// transactions retried because a concurrent resync published while
-	// the transaction was polling outside the store mutex.
+	// process, dirty nodes processed across those stages, sibling rows
+	// rule firings read through a resident join index and through an
+	// index built on the spot, and update transactions retried because a
+	// concurrent resync published while the transaction was polling
+	// outside the store mutex.
 	KernelStages     int
 	KernelStageNodes int
+	KernelProbeRows  int
+	KernelScanRows   int
 	UpdateTxnRetries int
 	// AnnotationSwitches counts attribute materialization flips applied by
 	// re-annotation transactions (reannotate.go).
@@ -152,34 +161,6 @@ type Stats struct {
 	Sources map[string]SourceHealth
 }
 
-// counters are the mediator's operation counters in atomic form, so query
-// transactions running concurrently outside the update mutex can bump them
-// without coordination.
-type counters struct {
-	updateTxns         atomic.Int64
-	queryTxns          atomic.Int64
-	atomsPropagated    atomic.Int64
-	sourcePolls        atomic.Int64
-	tuplesPolled       atomic.Int64
-	tempsBuilt         atomic.Int64
-	keyBasedTemps      atomic.Int64
-	pollFailures       atomic.Int64
-	pollRetries        atomic.Int64
-	breakerFastFails   atomic.Int64
-	degradedQueries    atomic.Int64
-	gapsDetected       atomic.Int64
-	resyncs            atomic.Int64
-	kernelStages       atomic.Int64
-	kernelStageNodes   atomic.Int64
-	txnRetries         atomic.Int64
-	annotationSwitches atomic.Int64
-	walBarrierErrs     atomic.Int64
-	subFrames          atomic.Int64
-	subCoalesces       atomic.Int64
-	subLagDrops        atomic.Int64
-	subResyncs         atomic.Int64
-}
-
 // Config assembles a Mediator.
 type Config struct {
 	// VDP is the annotated plan; required.
@@ -199,8 +180,10 @@ type Config struct {
 	// and VAP polls fan out one goroutine per polled source.
 	PropagateWorkers int
 	// Metrics, if non-nil, is the registry the mediator instruments
-	// itself into (observe.go) — share one registry across components to
-	// scrape them from a single endpoint. Nil means a private registry,
+	// itself into (observe.go). A registry instruments one mediator: its
+	// WAL and servers may share it, to be scraped from a single endpoint,
+	// but a second mediator may not — Stats reads the registry's series,
+	// so two mediators' counts would merge. Nil means a private registry,
 	// still reachable via Mediator.Metrics().
 	Metrics *metrics.Registry
 }
@@ -280,8 +263,6 @@ type Mediator struct {
 	// published; readers access it only after observing a published
 	// version, so the atomic publish provides the happens-before edge.
 	viewInit clock.Time
-
-	stats counters
 
 	// qmu guards the queue, the ref′ bookkeeping, and version pins; it is
 	// the ONLY lock OnAnnouncement takes, so a source database can deliver
@@ -529,36 +510,46 @@ func (m *Mediator) Annotations() map[string]vdp.Annotation {
 	return m.curVDP().Annotations()
 }
 
-// Stats returns a copy of the operation counters. The transaction counters
-// are atomics, the queue-side numbers come from queueStats (which takes
-// only the leaf lock qmu), and the version counters come from the store —
-// no lock is ever held while acquiring another.
+// Stats reads the operation counters from the mediator's metrics
+// instruments (each field names its series in DESIGN.md §4) plus the
+// queue and version state. Counters and gauges are atomic loads, each
+// histogram count takes only that histogram's leaf mutex, the queue
+// high-water mark comes from queueStats (which takes only the leaf lock
+// qmu), and the version counters come from the store — no lock is ever
+// held while acquiring another.
 func (m *Mediator) Stats() Stats {
+	o := m.obs
 	s := Stats{
-		UpdateTxns:         int(m.stats.updateTxns.Load()),
-		QueryTxns:          int(m.stats.queryTxns.Load()),
-		AtomsPropagated:    int(m.stats.atomsPropagated.Load()),
-		SourcePolls:        int(m.stats.sourcePolls.Load()),
-		TuplesPolled:       int(m.stats.tuplesPolled.Load()),
-		TempsBuilt:         int(m.stats.tempsBuilt.Load()),
-		KeyBasedTemps:      int(m.stats.keyBasedTemps.Load()),
-		PollFailures:       int(m.stats.pollFailures.Load()),
-		PollRetries:        int(m.stats.pollRetries.Load()),
-		BreakerFastFails:   int(m.stats.breakerFastFails.Load()),
-		DegradedQueries:    int(m.stats.degradedQueries.Load()),
-		GapsDetected:       int(m.stats.gapsDetected.Load()),
-		Resyncs:            int(m.stats.resyncs.Load()),
-		KernelStages:       int(m.stats.kernelStages.Load()),
-		KernelStageNodes:   int(m.stats.kernelStageNodes.Load()),
-		UpdateTxnRetries:   int(m.stats.txnRetries.Load()),
-		AnnotationSwitches: int(m.stats.annotationSwitches.Load()),
-		WALBarrierErrs:     int(m.stats.walBarrierErrs.Load()),
-		SubFramesDelivered: int(m.stats.subFrames.Load()),
-		SubCoalesces:       int(m.stats.subCoalesces.Load()),
-		SubLagDrops:        int(m.stats.subLagDrops.Load()),
-		SubSnapshotResyncs: int(m.stats.subResyncs.Load()),
+		UpdateTxns:         int(o.txnsTotal.Value()),
+		QueryTxns:          int(o.queryFast.Count() + o.queryPolling.Count()),
+		AtomsPropagated:    int(o.atoms.Value()),
+		SourcePolls:        int(o.sourcePolls.Value()),
+		TuplesPolled:       int(o.tuplesPolled.Value()),
+		TempsBuilt:         int(o.tempsBuilt.Value()),
+		KeyBasedTemps:      int(o.keyBasedTemps.Value()),
+		PollRetries:        int(o.pollRetries.Value()),
+		DegradedQueries:    int(o.degradedQueries.Value()),
+		GapsDetected:       int(o.gapsDetected.Value()),
+		Resyncs:            int(o.resyncs.Value()),
+		KernelStages:       int(o.stageTotal.Count()),
+		KernelStageNodes:   int(o.stageNodes.Value()),
+		KernelProbeRows:    int(o.probeRows.Value()),
+		KernelScanRows:     int(o.scanRows.Value()),
+		UpdateTxnRetries:   int(o.txnRetries.Value()),
+		AnnotationSwitches: int(o.annSwitches.Value()),
+		WALBarrierErrs:     int(o.walBarrierErrs.Value()),
+		ActiveSubscribers:  int(o.subsActive.Value()),
+		SubFramesDelivered: int(o.subFrames.Value()),
+		SubCoalesces:       int(o.subCoalesces.Value()),
+		SubLagDrops:        int(o.subLagDrops.Value()),
+		SubSnapshotResyncs: int(o.subResyncs.Value()),
 	}
-	s.ActiveSubscribers = m.subs.active()
+	for _, h := range o.pollErr {
+		s.PollFailures += int(h.Count())
+	}
+	for _, c := range o.fastFails {
+		s.BreakerFastFails += int(c.Value())
+	}
 	s.Sources = m.sourceHealthStats()
 	for _, sh := range s.Sources {
 		if sh.ResyncStuck {
@@ -664,6 +655,18 @@ func (m *Mediator) pruneDoneLocked() {
 		}
 	}
 	m.done = trimAnnouncements(kept, oldLen)
+}
+
+// setQueueLocked installs q as the announcement queue and keeps what
+// observes the queue in step with it: the high-water mark and the
+// squirrel_queue_len gauge. Every rewrite of the queue goes through it.
+// Requires qmu.
+func (m *Mediator) setQueueLocked(q []source.Announcement) {
+	m.queue = q
+	if len(q) > m.queueHighWater {
+		m.queueHighWater = len(q)
+	}
+	m.obs.queueLen.Set(int64(len(q)))
 }
 
 // trimAnnouncements zeroes the dropped tail of the slice's backing array
@@ -802,10 +805,10 @@ func (m *Mediator) Initialize() error {
 		if err != nil {
 			return fmt.Errorf("core: initializing from %s: %w", src, err)
 		}
-		m.stats.sourcePolls.Add(1)
+		m.obs.sourcePolls.Inc()
 		for i, leaf := range leaves {
 			leafStates[leaf] = answers[i]
-			m.stats.tuplesPolled.Add(int64(answers[i].Len()))
+			m.obs.tuplesPolled.Add(int64(answers[i].Len()))
 		}
 		m.qmu.Lock()
 		m.lastProcessed[src] = asOf
@@ -832,7 +835,7 @@ func (m *Mediator) Initialize() error {
 			kept = append(kept, a)
 		}
 	}
-	m.queue = trimAnnouncements(kept, oldLen)
+	m.setQueueLocked(trimAnnouncements(kept, oldLen))
 	// A gap detected among pre-initialization announcements is covered by
 	// the full poll: reconcile each quarantined stream against its poll
 	// instant (sources whose pen outruns the poll stay quarantined for a
@@ -923,11 +926,7 @@ func (m *Mediator) OnAnnouncement(a source.Announcement) {
 	if m.initialized && a.Time <= m.lastProcessed[a.Source] {
 		return // already reflected by a poll
 	}
-	m.queue = append(m.queue, a)
-	if len(m.queue) > m.queueHighWater {
-		m.queueHighWater = len(m.queue)
-	}
-	m.obs.queueLen.Set(int64(len(m.queue)))
+	m.setQueueLocked(append(m.queue, a))
 	m.signalAnnounce()
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"squirrel/internal/algebra"
 	"squirrel/internal/clock"
@@ -25,22 +26,25 @@ import (
 // QueryExpr answers an arbitrary relational-algebra expression whose base
 // relations are export relations of the integrated view.
 func (m *Mediator) QueryExpr(expr algebra.RelExpr, opts QueryOptions) (*QueryResult, error) {
+	start := time.Now()
 	for i := 0; i < maxEpochRetries; i++ {
-		res, ok, err := m.queryExprOnce(expr, opts)
+		res, ok, err := m.queryExprOnce(expr, opts, start)
 		if err != nil {
+			m.obs.queryErrors.Inc()
 			return nil, err
 		}
 		if ok {
 			return res, nil
 		}
 	}
+	m.obs.queryErrors.Inc()
 	return nil, fmt.Errorf("core: query lost the plan-epoch race %d times", maxEpochRetries)
 }
 
 // queryExprOnce is one attempt against a consistent (epoch, version)
 // pair; ok=false means a re-annotation swapped the epoch between the
 // epoch read and the version pin — retry.
-func (m *Mediator) queryExprOnce(expr algebra.RelExpr, opts QueryOptions) (*QueryResult, bool, error) {
+func (m *Mediator) queryExprOnce(expr algebra.RelExpr, opts QueryOptions, start time.Time) (*QueryResult, bool, error) {
 	ep := m.epoch()
 	pv := ep.v
 	exports := algebra.BaseRelationsOf(expr)
@@ -136,10 +140,10 @@ func (m *Mediator) queryExprOnce(expr algebra.RelExpr, opts QueryOptions) (*Quer
 			}
 			staleness[src] = bound
 		}
-		m.stats.degradedQueries.Add(1)
+		m.obs.degradedQueries.Inc()
 	}
 
-	m.stats.queryTxns.Add(1)
+	m.obs.observeQuery(len(reqs) > 0, start, committed-v.Stamp())
 	for _, name := range exports {
 		m.obs.noteQuery(name, pv.Node(name).Schema.AttrNames())
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"squirrel/internal/clock"
 	"squirrel/internal/metrics"
 	"squirrel/internal/vdp"
 )
@@ -50,6 +51,19 @@ const (
 	MetricSubCoalescesTotal = "squirrel_sub_coalesces_total"
 	MetricSubLagDropsTotal  = "squirrel_sub_lag_drops_total"
 	MetricSubResyncsTotal   = "squirrel_sub_resyncs_total"
+	// Operation counters that back a Stats field and have no other
+	// instrument (see Stats for each one's meaning).
+	MetricAtomsPropagated  = "squirrel_atoms_propagated_total"
+	MetricSourcePolls      = "squirrel_source_polls_total"
+	MetricTuplesPolled     = "squirrel_tuples_polled_total"
+	MetricTempsBuilt       = "squirrel_temps_built_total"
+	MetricKeyBasedTemps    = "squirrel_key_based_temps_total"
+	MetricPollRetries      = "squirrel_poll_retries_total"
+	MetricDegradedQueries  = "squirrel_degraded_queries_total"
+	MetricGapsDetected     = "squirrel_gaps_detected_total"
+	MetricResyncs          = "squirrel_resyncs_total"
+	MetricKernelStageNodes = "squirrel_kernel_stage_nodes_total"
+	MetricWALBarrierErrors = "squirrel_wal_barrier_errors_total"
 )
 
 // mediatorObs caches the mediator's instruments. Per-source series are
@@ -102,6 +116,18 @@ type mediatorObs struct {
 	subCoalesces  *metrics.Counter
 	subLagDrops   *metrics.Counter
 	subResyncs    *metrics.Counter
+
+	atoms           *metrics.Counter
+	sourcePolls     *metrics.Counter
+	tuplesPolled    *metrics.Counter
+	tempsBuilt      *metrics.Counter
+	keyBasedTemps   *metrics.Counter
+	pollRetries     *metrics.Counter
+	degradedQueries *metrics.Counter
+	gapsDetected    *metrics.Counter
+	resyncs         *metrics.Counter
+	stageNodes      *metrics.Counter
+	walBarrierErrs  *metrics.Counter
 }
 
 func newMediatorObs(reg *metrics.Registry, plan *vdp.VDP) *mediatorObs {
@@ -148,6 +174,18 @@ func newMediatorObs(reg *metrics.Registry, plan *vdp.VDP) *mediatorObs {
 		subCoalesces:  reg.Counter(MetricSubCoalescesTotal),
 		subLagDrops:   reg.Counter(MetricSubLagDropsTotal),
 		subResyncs:    reg.Counter(MetricSubResyncsTotal),
+
+		atoms:           reg.Counter(MetricAtomsPropagated),
+		sourcePolls:     reg.Counter(MetricSourcePolls),
+		tuplesPolled:    reg.Counter(MetricTuplesPolled),
+		tempsBuilt:      reg.Counter(MetricTempsBuilt),
+		keyBasedTemps:   reg.Counter(MetricKeyBasedTemps),
+		pollRetries:     reg.Counter(MetricPollRetries),
+		degradedQueries: reg.Counter(MetricDegradedQueries),
+		gapsDetected:    reg.Counter(MetricGapsDetected),
+		resyncs:         reg.Counter(MetricResyncs),
+		stageNodes:      reg.Counter(MetricKernelStageNodes),
+		walBarrierErrs:  reg.Counter(MetricWALBarrierErrors),
 	}
 	for _, src := range sources {
 		o.pollOK[src] = reg.Histogram(metrics.SeriesName(MetricSourcePollSeconds, "source", src, "outcome", "ok"), metrics.DefLatencyBuckets)
@@ -177,6 +215,21 @@ func (o *mediatorObs) noteQuery(export string, attrs []string) {
 		if c := byAttr[a]; c != nil {
 			c.Inc()
 		}
+	}
+}
+
+// observeQuery records one committed query transaction: its latency
+// under its path (polling when the VAP ran) and how far, in logical
+// ticks, the answer's version lagged the query's commit instant — the
+// freshness the u_hold_delay / MaxStaleness knobs trade away.
+func (o *mediatorObs) observeQuery(polling bool, start time.Time, age clock.Time) {
+	if polling {
+		o.queryPolling.ObserveSince(start)
+	} else {
+		o.queryFast.ObserveSince(start)
+	}
+	if age >= 0 {
+		o.versionAge.Observe(float64(age))
 	}
 }
 

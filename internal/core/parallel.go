@@ -174,8 +174,7 @@ func (m *Mediator) kernelStaged(b *store.Builder, combined *delta.Delta, temps *
 				}
 			}
 		}
-		m.stats.kernelStages.Add(1)
-		m.stats.kernelStageNodes.Add(int64(len(work)))
+		m.obs.stageNodes.Add(int64(len(work)))
 		m.obs.stageTotal.ObserveSince(stageStart)
 		m.obs.reg.Emit(metrics.Event{
 			Type: metrics.EventStage, Dur: time.Since(stageStart),

@@ -300,28 +300,17 @@ func (m *Mediator) queryOnce(export string, attrs []string, cond algebra.Expr, o
 			}
 			staleness[src] = bound
 		}
-		m.stats.degradedQueries.Add(1)
+		m.obs.degradedQueries.Inc()
 	}
 
-	m.stats.queryTxns.Add(1)
+	m.obs.observeQuery(req.NeedsVirtual(pv), start, committed-v.Stamp())
 	m.obs.noteQuery(export, req.AttrList(pv))
 	if usedKeyBased {
-		m.stats.keyBasedTemps.Add(1)
+		m.obs.keyBasedTemps.Inc()
 	}
 	polls := 0
 	if res != nil {
 		polls = res.polls
-	}
-	// Latency by path, and how far (in logical ticks) the answer's
-	// version lagged the query's commit instant — the freshness the
-	// u_hold_delay / MaxStaleness knobs trade away.
-	if req.NeedsVirtual(pv) {
-		m.obs.queryPolling.ObserveSince(start)
-	} else {
-		m.obs.queryFast.ObserveSince(start)
-	}
-	if age := committed - v.Stamp(); age >= 0 {
-		m.obs.versionAge.Observe(float64(age))
 	}
 	if m.recorder != nil {
 		m.recorder.RecordQuery(trace.QueryTxn{

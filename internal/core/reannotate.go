@@ -135,7 +135,6 @@ func (m *Mediator) Reannotate(anns map[string]vdp.Annotation) ([]AnnotationFlip,
 			m.abortCapture(capture)
 			return nil, fmt.Errorf("core: re-annotation overtaken by %d concurrent publishes; giving up", attempt+1)
 		}
-		m.stats.txnRetries.Add(1)
 		m.obs.txnRetries.Inc()
 	}
 
@@ -144,7 +143,6 @@ func (m *Mediator) Reannotate(anns map[string]vdp.Annotation) ([]AnnotationFlip,
 		seq = v.Seq()
 	}
 	for _, f := range flips {
-		m.stats.annotationSwitches.Add(1)
 		m.obs.annSwitches.Inc()
 		m.obs.reg.Emit(metrics.Event{
 			Type: metrics.EventAnnotation, Subject: f.String(), Dur: time.Since(start),
@@ -273,7 +271,7 @@ func (m *Mediator) reannotateOnce(old *planEpoch, newV *vdp.VDP, newContribs map
 			}
 			kept = append(kept, a)
 		}
-		m.queue = trimAnnouncements(kept, oldLen)
+		m.setQueueLocked(trimAnnouncements(kept, oldLen))
 		if asOf > m.lastProcessed[src] {
 			m.lastProcessed[src] = asOf
 		}
@@ -289,7 +287,6 @@ func (m *Mediator) reannotateOnce(old *planEpoch, newV *vdp.VDP, newContribs map
 	m.vstore.Publish(b, m.lastProcessed.Clone(), m.clk.Now())
 	m.pruneDoneLocked()
 	m.pruneEpochsLocked()
-	m.obs.queueLen.Set(int64(len(m.queue)))
 	m.qmu.Unlock()
 	// A re-annotation publish rebuilt store portions from backfill polls
 	// the commit log never saw: replay cannot cross it (and the restored
@@ -331,12 +328,11 @@ func (m *Mediator) abortCapture(capture []string) {
 				kept = append(kept, a)
 			}
 		}
-		m.queue = trimAnnouncements(kept, oldLen)
+		m.setQueueLocked(trimAnnouncements(kept, oldLen))
 		delete(m.gapPen, src)
 		delete(m.quarantined, src)
 		m.lastSeq[src] = 0
 	}
-	m.obs.queueLen.Set(int64(len(m.queue)))
 	m.qmu.Unlock()
 }
 

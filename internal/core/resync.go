@@ -155,13 +155,13 @@ func (m *Mediator) ResyncSource(src string) error {
 			m.obs.reg.Emit(metrics.Event{Type: metrics.EventResync, Subject: src, Dur: time.Since(start), Err: err.Error()})
 			return err
 		}
-		m.stats.sourcePolls.Add(1)
+		m.obs.sourcePolls.Inc()
 		if s == src {
 			asOfSrc = asOf
 		}
 		for i, leaf := range ls {
 			ans := answers[i]
-			m.stats.tuplesPolled.Add(int64(ans.Len()))
+			m.obs.tuplesPolled.Add(int64(ans.Len()))
 			if s != src {
 				if err := m.compensate(ans, s, vdp.PollSpec{Source: s, Leaf: leaf}, asOf, b); err != nil {
 					return fmt.Errorf("core: resync compensation for %s/%s: %w", s, leaf, err)
@@ -223,7 +223,7 @@ func (m *Mediator) ResyncSource(src string) error {
 	// cannot apply their way across it, so force them to snapshot-resync.
 	m.subs.barrier("resync:" + src)
 	m.feedBarrierLocked("resync:"+src, m.vstore.Current())
-	m.stats.resyncs.Add(1)
+	m.obs.resyncs.Inc()
 	m.obs.reg.Emit(metrics.Event{Type: metrics.EventResync, Subject: src, Dur: time.Since(start)})
 	seq := uint64(0)
 	if v := m.vstore.Current(); v != nil {

@@ -135,7 +135,7 @@ func (m *Mediator) Restore(snap *StateSnapshot) error {
 			kept = append(kept, a)
 		}
 	}
-	m.queue = trimAnnouncements(kept, oldLen)
+	m.setQueueLocked(trimAnnouncements(kept, oldLen))
 	m.initialized = true
 	m.viewInit = snap.ViewInit
 	m.vstore.PublishAt(b, seq, m.lastProcessed.Clone(), snap.ViewInit)

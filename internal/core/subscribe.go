@@ -225,7 +225,6 @@ func (s *Subscription) offer(f SubFrame) {
 		s.queue = nil
 		s.tailOwned = false
 		s.needSnapshot = true
-		m.stats.subLagDrops.Add(1)
 		m.obs.subLagDrops.Inc()
 		s.notifyLocked()
 		return
@@ -241,7 +240,6 @@ func (s *Subscription) offer(f SubFrame) {
 		tail.Stamp = f.Stamp
 		tail.Reflect = f.Reflect
 		tail.Coalesced += 1 + f.Coalesced
-		m.stats.subCoalesces.Add(1)
 		m.obs.subCoalesces.Inc()
 	} else {
 		s.queue = append(s.queue, f)
@@ -264,7 +262,6 @@ func (s *Subscription) resyncLocked() {
 	s.queue = nil
 	s.tailOwned = false
 	s.needSnapshot = true
-	m.stats.subResyncs.Add(1)
 	m.obs.subResyncs.Inc()
 	s.notifyLocked()
 }
@@ -290,7 +287,6 @@ func (s *Subscription) TryRecv() (f SubFrame, ok bool, err error) {
 			}
 			s.needSnapshot = false
 			s.delivered = cur.Seq()
-			m.stats.subFrames.Add(1)
 			m.obs.subFrames.Inc()
 			return SubFrame{
 				Kind: SubSnapshot, Export: s.export,
@@ -317,7 +313,6 @@ func (s *Subscription) TryRecv() (f SubFrame, ok bool, err error) {
 			continue
 		}
 		s.delivered = f.Version
-		m.stats.subFrames.Add(1)
 		m.obs.subFrames.Inc()
 		return f, true, nil
 	}
@@ -347,7 +342,9 @@ type subRegistry struct {
 
 	mu     sync.Mutex
 	nextID uint64
-	subs   map[uint64]*Subscription
+	// subs holds the live subscriptions; the squirrel_subscribers_active
+	// gauge moves with its length under mu (Stats.ActiveSubscribers).
+	subs map[uint64]*Subscription
 	// rings holds, per eligible export, the most recent delta frames in
 	// ascending, dense version order.
 	rings map[string][]SubFrame
@@ -475,13 +472,6 @@ func (r *subRegistry) forget(id uint64) {
 	}()
 }
 
-// active returns the live subscription count.
-func (r *subRegistry) active() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.subs)
-}
-
 // Subscribe registers a consumer for an export's delta stream. The
 // export must be a fully materialized export of the current plan and the
 // mediator must be initialized. With FromVersion > 0 and the resume ring
@@ -532,7 +522,6 @@ func (m *Mediator) Subscribe(export string, opts SubscribeOptions) (*Subscriptio
 		if opts.FromVersion > 0 {
 			// The requested resume point fell off the ring (or never
 			// existed): the reconnect degrades to a snapshot.
-			m.stats.subResyncs.Add(1)
 			m.obs.subResyncs.Inc()
 		}
 	}
@@ -540,6 +529,3 @@ func (m *Mediator) Subscribe(export string, opts SubscribeOptions) (*Subscriptio
 	m.obs.subsActive.Add(1)
 	return s, nil
 }
-
-// ActiveSubscriptions reports the number of live subscriptions.
-func (m *Mediator) ActiveSubscriptions() int { return m.subs.active() }

@@ -64,7 +64,7 @@ func TestSubscribeStreamMatchesPull(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if got := e.med.ActiveSubscriptions(); got != 1 {
+	if got := e.med.Stats().ActiveSubscribers; got != 1 {
 		t.Fatalf("active subscriptions = %d", got)
 	}
 
@@ -117,7 +117,7 @@ func TestSubscribeStreamMatchesPull(t *testing.T) {
 	if err := sub.Err(); err != ErrSubscriptionClosed {
 		t.Fatalf("terminal err = %v", err)
 	}
-	if got := e.med.ActiveSubscriptions(); got != 0 {
+	if got := e.med.Stats().ActiveSubscribers; got != 0 {
 		t.Fatalf("active after close = %d", got)
 	}
 }
@@ -486,7 +486,7 @@ func TestSubscriptionSoak(t *testing.T) {
 	if final.Seq() < commits {
 		t.Fatalf("final version %d < %d", final.Seq(), commits)
 	}
-	if med.ActiveSubscriptions() != 0 {
-		t.Fatalf("leaked subscriptions: %d", med.ActiveSubscriptions())
+	if med.Stats().ActiveSubscribers != 0 {
+		t.Fatalf("leaked subscriptions: %d", med.Stats().ActiveSubscribers)
 	}
 }

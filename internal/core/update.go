@@ -56,7 +56,6 @@ func (m *Mediator) RunUpdateTransaction() (bool, error) {
 		if attempt == maxUpdateRetries {
 			return false, fmt.Errorf("core: update transaction overtaken by %d concurrent publishes; giving up", attempt+1)
 		}
-		m.stats.txnRetries.Add(1)
 		m.obs.txnRetries.Inc()
 	}
 }
@@ -144,8 +143,7 @@ func (m *Mediator) runUpdateOnce(attempt int) (ran, retry bool, err error) {
 	// still held, which keeps their order across update transactions; per
 	// version the update-txn event still precedes its publish event.
 	atoms := combined.Card()
-	m.stats.updateTxns.Add(1)
-	m.stats.atomsPropagated.Add(int64(atoms))
+	m.obs.atoms.Add(int64(atoms))
 	m.obs.txnCommit.ObserveSince(commitStart)
 	m.obs.txnTotal.ObserveSince(start)
 	m.obs.txnsTotal.Inc()
@@ -224,7 +222,7 @@ func (m *Mediator) commitUpdate(b *store.Builder, snapshot []source.Announcement
 	}
 	oldLen := len(m.queue)
 	kept := append(m.queue[:0], m.queue[len(snapshot):]...)
-	m.queue = trimAnnouncements(kept, oldLen)
+	m.setQueueLocked(trimAnnouncements(kept, oldLen))
 	for src, t := range newRef {
 		if t > m.lastProcessed[src] {
 			m.lastProcessed[src] = t
@@ -233,7 +231,6 @@ func (m *Mediator) commitUpdate(b *store.Builder, snapshot []source.Announcement
 	published = m.vstore.Publish(b, reflect, committed)
 	m.pruneDoneLocked()
 	m.pruneEpochsLocked()
-	m.obs.queueLen.Set(int64(len(m.queue)))
 	m.qmu.Unlock()
 	// Fan the committed version out to subscribers (subscribe.go): one
 	// frame per eligible export, built from the kernel's captured ΔR.

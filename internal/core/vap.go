@@ -185,7 +185,7 @@ func (m *Mediator) buildTemporaries(ep *planEpoch, plan []vdp.Requirement, view 
 			res.stale[src] = o.asOf
 		} else {
 			res.polls++
-			m.stats.sourcePolls.Add(1)
+			m.obs.sourcePolls.Inc()
 		}
 		if !announcing {
 			res.polledAt[src] = o.asOf
@@ -193,7 +193,7 @@ func (m *Mediator) buildTemporaries(ep *planEpoch, plan []vdp.Requirement, view 
 		for j, it := range o.items {
 			ans := o.answers[j]
 			res.tuples += ans.Len()
-			m.stats.tuplesPolled.Add(int64(ans.Len()))
+			m.obs.tuplesPolled.Add(int64(ans.Len()))
 			if announcing {
 				// Eager Compensation: roll the answer back to the view's
 				// ref′(src) by undoing every announced update from this
@@ -208,7 +208,7 @@ func (m *Mediator) buildTemporaries(ep *planEpoch, plan []vdp.Requirement, view 
 			}
 			res.temps[it.req.Rel] = temp
 			res.conds[it.req.Rel] = it.req.Cond
-			m.stats.tempsBuilt.Add(1)
+			m.obs.tempsBuilt.Inc()
 		}
 	}
 
@@ -222,7 +222,7 @@ func (m *Mediator) buildTemporaries(ep *planEpoch, plan []vdp.Requirement, view 
 		}
 		res.temps[req.Rel] = temp
 		res.conds[req.Rel] = req.Cond
-		m.stats.tempsBuilt.Add(1)
+		m.obs.tempsBuilt.Inc()
 	}
 	return res, nil
 }

@@ -109,6 +109,13 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
 
+// Count returns the number of observations recorded so far.
+func (h *Histogram) Count() uint64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.count
+}
+
 // Snapshot returns a consistent copy of the histogram state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	h.mu.Lock()

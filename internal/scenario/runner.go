@@ -9,7 +9,6 @@ import (
 	"squirrel/internal/clock"
 	"squirrel/internal/core"
 	"squirrel/internal/delta"
-	"squirrel/internal/metrics"
 	"squirrel/internal/relation"
 	"squirrel/internal/sim"
 	"squirrel/internal/source"
@@ -705,7 +704,7 @@ func (r *runner) assert(a *AssertStep) {
 	if len(a.Stats) > 0 {
 		st := r.med().Stats()
 		for _, sa := range a.Stats {
-			v := statValue(st, r.med().Metrics(), sa.Name)
+			v := statFields[sa.Name](st)
 			if v < sa.Min || (sa.Max >= 0 && v > sa.Max) {
 				r.failf("assert stats: %s=%d outside [%d, %s]", sa.Name, v, sa.Min, maxString(sa.Max))
 				return
@@ -760,58 +759,6 @@ func (r *runner) theorem72Bounds() clock.Vector {
 		return r.th.ComposedBounds()
 	}
 	return r.h.Delay.Bounds(r.h.Med, r.h.Plan.Sources())
-}
-
-func statValue(st core.Stats, reg *metrics.Registry, name string) int64 {
-	switch name {
-	case "kernel_probe_rows":
-		return reg.Counter(core.MetricKernelProbeRows).Value()
-	case "kernel_scan_rows":
-		return reg.Counter(core.MetricKernelScanRows).Value()
-	case "update_txns":
-		return int64(st.UpdateTxns)
-	case "query_txns":
-		return int64(st.QueryTxns)
-	case "atoms_propagated":
-		return int64(st.AtomsPropagated)
-	case "source_polls":
-		return int64(st.SourcePolls)
-	case "tuples_polled":
-		return int64(st.TuplesPolled)
-	case "temps_built":
-		return int64(st.TempsBuilt)
-	case "queue_high_water":
-		return int64(st.QueueHighWater)
-	case "current_version":
-		return int64(st.CurrentVersion)
-	case "versions_published":
-		return int64(st.VersionsPublished)
-	case "poll_failures":
-		return int64(st.PollFailures)
-	case "poll_retries":
-		return int64(st.PollRetries)
-	case "degraded_queries":
-		return int64(st.DegradedQueries)
-	case "gaps_detected":
-		return int64(st.GapsDetected)
-	case "resyncs":
-		return int64(st.Resyncs)
-	case "annotation_switches":
-		return int64(st.AnnotationSwitches)
-	case "update_txn_retries":
-		return int64(st.UpdateTxnRetries)
-	case "active_subscribers":
-		return int64(st.ActiveSubscribers)
-	case "sub_frames":
-		return int64(st.SubFramesDelivered)
-	case "sub_coalesces":
-		return int64(st.SubCoalesces)
-	case "sub_lag_drops":
-		return int64(st.SubLagDrops)
-	case "sub_resyncs":
-		return int64(st.SubSnapshotResyncs)
-	}
-	return -1
 }
 
 func maxString(m int64) string {

@@ -5,24 +5,38 @@ import (
 	"strings"
 
 	"squirrel/internal/clock"
+	"squirrel/internal/core"
 	"squirrel/internal/relation"
 	"squirrel/internal/sqlview"
 	"squirrel/internal/vdp"
 )
 
-// statNames is the closed vocabulary of assert.stats counters, mapped
-// onto core.Stats by the runner — except the two kernel_*_rows names,
-// which read the metrics registry's rule-firing counters (sibling rows
-// read through a resident join index vs. an index built on the spot).
-var statNames = map[string]bool{
-	"update_txns": true, "query_txns": true, "atoms_propagated": true,
-	"source_polls": true, "tuples_polled": true, "temps_built": true,
-	"queue_high_water": true, "current_version": true, "versions_published": true,
-	"poll_failures": true, "poll_retries": true, "degraded_queries": true,
-	"gaps_detected": true, "resyncs": true, "annotation_switches": true,
-	"update_txn_retries": true, "active_subscribers": true, "sub_frames": true,
-	"sub_coalesces": true, "sub_lag_drops": true, "sub_resyncs": true,
-	"kernel_probe_rows": true, "kernel_scan_rows": true,
+// statFields is the closed vocabulary of assert.stats counters: each
+// name reads one core.Stats field.
+var statFields = map[string]func(core.Stats) int64{
+	"update_txns":         func(s core.Stats) int64 { return int64(s.UpdateTxns) },
+	"query_txns":          func(s core.Stats) int64 { return int64(s.QueryTxns) },
+	"atoms_propagated":    func(s core.Stats) int64 { return int64(s.AtomsPropagated) },
+	"source_polls":        func(s core.Stats) int64 { return int64(s.SourcePolls) },
+	"tuples_polled":       func(s core.Stats) int64 { return int64(s.TuplesPolled) },
+	"temps_built":         func(s core.Stats) int64 { return int64(s.TempsBuilt) },
+	"queue_high_water":    func(s core.Stats) int64 { return int64(s.QueueHighWater) },
+	"current_version":     func(s core.Stats) int64 { return int64(s.CurrentVersion) },
+	"versions_published":  func(s core.Stats) int64 { return int64(s.VersionsPublished) },
+	"poll_failures":       func(s core.Stats) int64 { return int64(s.PollFailures) },
+	"poll_retries":        func(s core.Stats) int64 { return int64(s.PollRetries) },
+	"degraded_queries":    func(s core.Stats) int64 { return int64(s.DegradedQueries) },
+	"gaps_detected":       func(s core.Stats) int64 { return int64(s.GapsDetected) },
+	"resyncs":             func(s core.Stats) int64 { return int64(s.Resyncs) },
+	"annotation_switches": func(s core.Stats) int64 { return int64(s.AnnotationSwitches) },
+	"update_txn_retries":  func(s core.Stats) int64 { return int64(s.UpdateTxnRetries) },
+	"active_subscribers":  func(s core.Stats) int64 { return int64(s.ActiveSubscribers) },
+	"sub_frames":          func(s core.Stats) int64 { return int64(s.SubFramesDelivered) },
+	"sub_coalesces":       func(s core.Stats) int64 { return int64(s.SubCoalesces) },
+	"sub_lag_drops":       func(s core.Stats) int64 { return int64(s.SubLagDrops) },
+	"sub_resyncs":         func(s core.Stats) int64 { return int64(s.SubSnapshotResyncs) },
+	"kernel_probe_rows":   func(s core.Stats) int64 { return int64(s.KernelProbeRows) },
+	"kernel_scan_rows":    func(s core.Stats) int64 { return int64(s.KernelScanRows) },
 }
 
 func bindTimeline(n *node, spec *Spec) error {
@@ -798,9 +812,9 @@ func bindAssert(n *node, spec *Spec) (*AssertStep, error) {
 			return nil, err
 		}
 		for _, name := range sb.n.keys {
-			if !statNames[name] {
-				known := make([]string, 0, len(statNames))
-				for k := range statNames {
+			if statFields[name] == nil {
+				known := make([]string, 0, len(statFields))
+				for k := range statFields {
 					known = append(known, k)
 				}
 				sortStrings(known)

@@ -69,16 +69,6 @@ type DB struct {
 	log      []Commit
 	born     clock.Time
 	handlers []Handler
-
-	// Stats counts operations, for the experiments.
-	stats Stats
-}
-
-// Stats aggregates operation counters.
-type Stats struct {
-	Commits      int
-	Queries      int
-	TuplesServed int
 }
 
 // NewDB creates an empty source database named name stamping events with
@@ -183,7 +173,6 @@ func (db *DB) Apply(d *delta.Delta) (clock.Time, error) {
 	t := db.clock.Now()
 	snapshot := d.Clone()
 	db.log = append(db.log, Commit{Time: t, Delta: snapshot})
-	db.stats.Commits++
 	// The commit's position in the log is its sequence number (1-based);
 	// ReplaySince recomputes the same numbers from log indices.
 	seq := uint64(len(db.log))
@@ -240,9 +229,7 @@ func (db *DB) QueryMulti(specs []QuerySpec) ([]*relation.Relation, clock.Time, e
 			return nil, 0, err
 		}
 		out[i] = ans
-		db.stats.TuplesServed += ans.Len()
 	}
-	db.stats.Queries++
 	return out, db.clock.Now(), nil
 }
 
@@ -275,9 +262,7 @@ func (db *DB) QueryMultiAt(specs []QuerySpec, at clock.Time) ([]*relation.Relati
 			return nil, 0, err
 		}
 		out[i] = ans
-		db.stats.TuplesServed += ans.Len()
 	}
-	db.stats.Queries++
 	return out, at, nil
 }
 
@@ -374,13 +359,6 @@ func (db *DB) Log() []Commit {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return append([]Commit(nil), db.log...)
-}
-
-// Stats returns a copy of the operation counters.
-func (db *DB) Stats() Stats {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.stats
 }
 
 // ReplaySince re-delivers, in commit order, the announcements of every
