@@ -1,8 +1,8 @@
-// Benchmarks: one group per reproduced paper artifact (see DESIGN.md's
-// experiment index and EXPERIMENTS.md for the corresponding tables). The
-// full table generators live in internal/experiments and run via
-// `go run ./cmd/squirrel bench`; these testing.B benchmarks isolate the
-// primitive costs behind each table so regressions are visible.
+// Benchmarks: the primitive costs behind the paper's artifacts and behind
+// the retired E-series sweeps, so regressions are visible. EXPERIMENTS.md
+// indexes each artifact to the scenario spec or test that states its
+// behaviour and points each retired sweep at the Benchmark* here that
+// replaces it. The end-to-end numbers live in bench/ (BENCHMARK.json).
 package squirrel_test
 
 import (
@@ -18,9 +18,10 @@ import (
 	"squirrel/internal/clock"
 	"squirrel/internal/core"
 	"squirrel/internal/delta"
-	"squirrel/internal/experiments"
+	"squirrel/internal/federate"
 	"squirrel/internal/relation"
 	"squirrel/internal/sim"
+	"squirrel/internal/source"
 	"squirrel/internal/vdp"
 )
 
@@ -963,7 +964,7 @@ func BenchmarkE21SubscriptionFanout(b *testing.B) {
 func BenchmarkE22FederationFanIn(b *testing.B) {
 	for _, batch := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			f, err := experiments.NewFederationBench(batch)
+			f, err := newFedBench(batch)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -974,5 +975,186 @@ func BenchmarkE22FederationFanIn(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// fedBench is the 1×2×4 federation tree of DESIGN.md §11: four leaf
+// databases, two middle-tier mediators each joining its own pair, and a
+// top mediator joining the two exports. Announcements flow synchronously
+// (ConnectLocal for the leaf hop, Exporter.Subscribe for the tier hop),
+// so the measured cost is pure mediator work, not transport. Each Step
+// commits batch leaf transactions round-robin and drains both hops.
+// Commits past the seeded join window stop producing T rows but still
+// exercise the full per-hop machinery (empty export deltas are announced
+// for sequence density).
+type fedBench struct {
+	leaves []*source.DB     // db1..db4
+	tiers  []*core.Mediator // meda, medb
+	top    *core.Mediator
+	cnt    []int64 // per-leaf commit counters (keeps tree-wide keys aligned)
+	batch  int
+	n      int
+}
+
+// newFedBench assembles the tree. 4096 rows of RA/RB carry join targets
+// (i, 16+i) for later SA/SB inserts; SA/SB seed the 16 hot keys RA/RB
+// inserts join against.
+func newFedBench(batch int) (*fedBench, error) {
+	const seedR = 4096
+	clk := &clock.Logical{}
+	f := &fedBench{cnt: make([]int64, 4), batch: batch}
+	mk := func(rel, k, v string) *relation.Schema {
+		return relation.MustSchema(rel, []relation.Attribute{
+			{Name: k, Type: relation.KindInt}, {Name: v, Type: relation.KindInt}}, k)
+	}
+	schemas := []*relation.Schema{
+		mk("RA", "a1", "a2"), mk("SA", "a3", "a4"),
+		mk("RB", "b1", "b2"), mk("SB", "b3", "b4"),
+	}
+	for i, s := range schemas {
+		db := source.NewDB(fmt.Sprintf("db%d", i+1), clk)
+		if err := db.CreateRelation(s, relation.Set); err != nil {
+			return nil, err
+		}
+		seed := delta.New()
+		if i%2 == 0 { // RA/RB: join targets for later SA/SB inserts
+			for k := int64(0); k < seedR; k++ {
+				seed.Insert(s.Name(), relation.T(k, 16+k))
+			}
+		} else { // SA/SB: the 16 hot keys RA/RB inserts join against
+			for k := int64(0); k < 16; k++ {
+				seed.Insert(s.Name(), relation.T(k, 100+k))
+			}
+		}
+		db.MustApply(seed)
+		f.leaves = append(f.leaves, db)
+	}
+
+	var exps []*federate.Exporter
+	for _, tier := range []struct {
+		name, view, sql string
+		left, right     int
+	}{
+		{"meda", "VA", `SELECT a1, a4 FROM RA JOIN SA ON a2 = a3`, 0, 1},
+		{"medb", "VB", `SELECT b1, b4 FROM RB JOIN SB ON b2 = b3`, 2, 3},
+	} {
+		l, r := f.leaves[tier.left], f.leaves[tier.right]
+		b := vdp.NewBuilder()
+		if err := b.AddSource(l.Name(), schemas[tier.left]); err != nil {
+			return nil, err
+		}
+		if err := b.AddSource(r.Name(), schemas[tier.right]); err != nil {
+			return nil, err
+		}
+		if err := b.AddViewSQL(tier.view, tier.sql); err != nil {
+			return nil, err
+		}
+		plan, err := b.Build()
+		if err != nil {
+			return nil, err
+		}
+		med, err := core.New(core.Config{VDP: plan, Sources: map[string]core.SourceConn{
+			l.Name(): core.LocalSource{DB: l}, r.Name(): core.LocalSource{DB: r},
+		}, Clock: clk})
+		if err != nil {
+			return nil, err
+		}
+		core.ConnectLocal(med, l)
+		core.ConnectLocal(med, r)
+		if err := med.Initialize(); err != nil {
+			return nil, err
+		}
+		x, err := federate.New(med, tier.name)
+		if err != nil {
+			return nil, err
+		}
+		f.tiers = append(f.tiers, med)
+		exps = append(exps, x)
+	}
+
+	b := vdp.NewBuilder()
+	conns := map[string]core.SourceConn{}
+	for _, x := range exps {
+		for _, rel := range x.Relations() {
+			s, err := x.Schema(rel)
+			if err != nil {
+				return nil, err
+			}
+			if err := b.AddSource(x.Name(), s); err != nil {
+				return nil, err
+			}
+		}
+		conns[x.Name()] = x
+	}
+	if err := b.AddViewSQL("T", `SELECT a1, a4, b4 FROM VA JOIN VB ON a1 = b1`); err != nil {
+		return nil, err
+	}
+	plan, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	top, err := core.New(core.Config{VDP: plan, Sources: conns, Clock: clk})
+	if err != nil {
+		return nil, err
+	}
+	for _, x := range exps {
+		x.Subscribe(top.OnAnnouncement)
+	}
+	if err := top.Initialize(); err != nil {
+		return nil, err
+	}
+	f.top = top
+	return f, nil
+}
+
+// commitLeaf applies the next scripted insert to leaf l (0..3). RA/RB
+// inserts join the 16 hot SA/SB seed keys; SA/SB inserts join the RA/RB
+// seed rows, so every commit eventually surfaces in T when its partner
+// leaf on the other branch reaches the same counter.
+func (f *fedBench) commitLeaf(l int) error {
+	c := f.cnt[l]
+	f.cnt[l]++
+	d := delta.New()
+	switch l {
+	case 0:
+		d.Insert("RA", relation.T(10000+c, c%16))
+	case 1:
+		d.Insert("SA", relation.T(16+c, 500+c))
+	case 2:
+		d.Insert("RB", relation.T(10000+c, c%16))
+	case 3:
+		d.Insert("SB", relation.T(16+c, 500+c))
+	}
+	_, err := f.leaves[l].Apply(d)
+	return err
+}
+
+// Step runs one drain cycle: batch commits, tier transactions, top
+// transactions.
+func (f *fedBench) Step() error {
+	for i := 0; i < f.batch; i++ {
+		if err := f.commitLeaf(f.n % 4); err != nil {
+			return err
+		}
+		f.n++
+	}
+	for _, tier := range f.tiers {
+		if err := drainMed(tier); err != nil {
+			return err
+		}
+	}
+	return drainMed(f.top)
+}
+
+// drainMed runs update transactions until the mediator's queue is empty.
+func drainMed(m *core.Mediator) error {
+	for {
+		ran, err := m.RunUpdateTransaction()
+		if err != nil {
+			return err
+		}
+		if !ran {
+			return nil
+		}
 	}
 }

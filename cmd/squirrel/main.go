@@ -1,7 +1,6 @@
 // Command squirrel is the CLI for the Squirrel data-integration
 // reproduction (Hull & Zhou, SIGMOD 1996):
 //
-//	squirrel bench [-e E1,...]   regenerate the experiment tables (E1–E22)
 //	squirrel demo                run the paper's running example end to end
 //	squirrel figure2             print the Figure 2 scenario and verdicts
 //	squirrel serve-source        serve a demo source database over TCP
@@ -15,12 +14,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
-	"strings"
-
-	"squirrel/internal/experiments"
 )
 
 func main() {
@@ -30,8 +25,6 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "demo":
 		err = cmdDemo(os.Args[2:])
 	case "figure2":
@@ -73,7 +66,6 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage: squirrel <command> [flags]
 
 commands:
-  bench [-e E1,E4,...]       run the reproduction experiments (default: all)
   demo                       run the paper's running example (Examples 2.1-2.3)
   figure2                    print the Figure 2 scenario and its verdicts
   serve-source -addr :7070   serve the demo source database over TCP
@@ -119,28 +111,4 @@ commands:
   events -addr HOST:PORT [-n N] [-type T]
                              tail a mediator's structured event ring buffer
 `)
-}
-
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	which := fs.String("e", "", "comma-separated experiment ids (default: all)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ids := experiments.IDs()
-	if *which != "" {
-		ids = strings.Split(*which, ",")
-	}
-	fmt.Printf("Squirrel reproduction experiments (%s)\n", strings.Join(ids, ", "))
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		run, ok := experiments.Registry[id]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(experiments.IDs(), ", "))
-		}
-		if err := run(os.Stdout); err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-	}
-	return nil
 }

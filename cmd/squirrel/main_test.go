@@ -60,22 +60,6 @@ func TestCmdFigure2(t *testing.T) {
 	}
 }
 
-func TestCmdBenchSingle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench is slow")
-	}
-	out, err := captureStdout(t, func() error { return cmdBench([]string{"-e", "E4"}) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "E4 — Figure 2") {
-		t.Errorf("bench output missing E4 table:\n%s", out)
-	}
-	if _, err := captureStdout(t, func() error { return cmdBench([]string{"-e", "NOPE"}) }); err == nil {
-		t.Errorf("unknown experiment must fail")
-	}
-}
-
 func TestCmdQueryViewValidation(t *testing.T) {
 	if err := cmdQueryView([]string{"-export", ""}); err == nil {
 		t.Errorf("missing export must fail")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"squirrel/internal/checker"
@@ -12,9 +13,131 @@ import (
 	"squirrel/internal/vdp"
 )
 
+// batchingAnnouncer implements the source-side announcement policy behind
+// the paper's ann_delay (§7): instead of announcing every commit
+// immediately, the source accumulates commits and periodically publishes
+// ONE message holding their smash — still "all the updates that reflect
+// the difference between two database states in a single undividable
+// message" (§4), stamped with the latest covered commit time, delivered in
+// order.
+//
+// Wire it between a DB and its consumers:
+//
+//	ba := newBatchingAnnouncer(db, 10) // flush every 10 commits
+//	ba.Subscribe(mediator.OnAnnouncement)
+//
+// Flush publishes whatever is pending (call it on a timer for time-based
+// policies).
+type batchingAnnouncer struct {
+	db    *source.DB
+	every int
+
+	mu        sync.Mutex
+	pending   *delta.Delta
+	count     int
+	last      clock.Time
+	firstSeq  uint64
+	lastSeq   uint64
+	published clock.Time
+	handlers  []source.Handler
+}
+
+// newBatchingAnnouncer subscribes to db and batches its announcements,
+// flushing automatically after every `every` commits (0 means manual
+// flushing only).
+func newBatchingAnnouncer(db *source.DB, every int) *batchingAnnouncer {
+	ba := &batchingAnnouncer{db: db, every: every, pending: delta.New(), published: db.Born()}
+	db.Subscribe(ba.onCommit)
+	return ba
+}
+
+// Subscribe registers a downstream handler for the batched announcements.
+func (ba *batchingAnnouncer) Subscribe(h source.Handler) {
+	ba.mu.Lock()
+	defer ba.mu.Unlock()
+	ba.handlers = append(ba.handlers, h)
+}
+
+func (ba *batchingAnnouncer) onCommit(a source.Announcement) {
+	ba.mu.Lock()
+	ba.pending.Smash(a.Delta)
+	ba.count++
+	ba.last = a.Time
+	if ba.firstSeq == 0 {
+		ba.firstSeq = a.FirstSeq
+	}
+	ba.lastSeq = a.Seq
+	flush := ba.every > 0 && ba.count >= ba.every
+	ba.mu.Unlock()
+	if flush {
+		ba.Flush()
+	}
+}
+
+// Flush publishes the pending batch (no-op when nothing is pending).
+// Smash may have annihilated everything (a row inserted and deleted within
+// the batch); an empty batch still advances the announced time so the
+// mediator's ref′ moves forward.
+func (ba *batchingAnnouncer) Flush() {
+	ba.mu.Lock()
+	if ba.count == 0 {
+		ba.mu.Unlock()
+		return
+	}
+	out := source.Announcement{
+		Source: ba.db.Name(), Time: ba.last, Delta: ba.pending,
+		Seq: ba.lastSeq, FirstSeq: ba.firstSeq,
+	}
+	ba.pending = delta.New()
+	ba.count = 0
+	ba.firstSeq, ba.lastSeq = 0, 0
+	ba.published = ba.last
+	handlers := append([]source.Handler(nil), ba.handlers...)
+	ba.mu.Unlock()
+	for _, h := range handlers {
+		h(out)
+	}
+}
+
+// Pending reports how many commits await flushing.
+func (ba *batchingAnnouncer) Pending() int {
+	ba.mu.Lock()
+	defer ba.mu.Unlock()
+	return ba.count
+}
+
+// Published returns the commit time of the last flushed batch (the
+// database's birth time before any flush): the state the source has made
+// visible downstream.
+func (ba *batchingAnnouncer) Published() clock.Time {
+	ba.mu.Lock()
+	defer ba.mu.Unlock()
+	return ba.published
+}
+
+// publishedConn answers mediator queries from the source's PUBLISHED
+// state — the last flushed batch — rather than its live state. This is
+// required for correctness when announcements are batched: Eager
+// Compensation assumes every commit reflected in a poll answer has already
+// been announced (the in-order message assumption of §4), which live reads
+// would violate for commits still sitting in the batch buffer.
+// publishedConn satisfies SourceConn.
+type publishedConn struct {
+	DB *source.DB
+	BA *batchingAnnouncer
+}
+
+// Name implements the connection interface.
+func (c publishedConn) Name() string { return c.DB.Name() }
+
+// QueryMulti answers from the published snapshot.
+func (c publishedConn) QueryMulti(specs []source.QuerySpec) ([]*relation.Relation, clock.Time, error) {
+	return c.DB.QueryMultiAt(specs, c.BA.Published())
+}
+
 // batchedEnv wires the paper fixture through BatchingAnnouncers and
 // PublishedConns (the ann_delay policy with its matching snapshot reads).
-func batchedEnv(t *testing.T, annT vdp.Annotation, every int) (*testEnv, *source.BatchingAnnouncer, *source.BatchingAnnouncer) {
+func batchedEnv(t *testing.T, annT vdp.Annotation, every int) (*testEnv, *batchingAnnouncer, *batchingAnnouncer) {
 	t.Helper()
 	clk := &clock.Logical{}
 	db1 := source.NewDB("db1", clk)
@@ -32,15 +155,15 @@ func batchedEnv(t *testing.T, annT vdp.Annotation, every int) (*testEnv, *source
 	if err := db2.LoadRelation(s); err != nil {
 		t.Fatal(err)
 	}
-	ba1 := source.NewBatchingAnnouncer(db1, every)
-	ba2 := source.NewBatchingAnnouncer(db2, every)
+	ba1 := newBatchingAnnouncer(db1, every)
+	ba2 := newBatchingAnnouncer(db2, every)
 	plan := paperPlan(t, nil, nil, annT)
 	rec := trace.NewRecorder()
 	med, err := New(Config{
 		VDP: plan,
 		Sources: map[string]SourceConn{
-			"db1": source.PublishedConn{DB: db1, BA: ba1},
-			"db2": source.PublishedConn{DB: db2, BA: ba2},
+			"db1": publishedConn{DB: db1, BA: ba1},
+			"db2": publishedConn{DB: db2, BA: ba2},
 		},
 		Clock:    clk,
 		Recorder: rec,

@@ -120,9 +120,6 @@ func (s *Schema) KeyAttrs() []string {
 	return out
 }
 
-// KeyPositions returns the attribute positions of the primary key.
-func (s *Schema) KeyPositions() []int { return append([]int(nil), s.key...) }
-
 // HasKey reports whether the schema declares a primary key.
 func (s *Schema) HasKey() bool { return len(s.key) > 0 }
 

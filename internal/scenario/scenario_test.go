@@ -5,8 +5,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"squirrel/internal/core"
 )
 
 var update = flag.Bool("update", false, "rewrite golden transcripts")
@@ -250,5 +253,42 @@ func TestParseErrorsCarryLines(t *testing.T) {
 	}
 	if !strings.HasPrefix(err.Error(), "line ") {
 		t.Errorf("error has no line prefix: %v", err)
+	}
+}
+
+// TestStatFieldsCoverStats keeps the assert.stats vocabulary closed over
+// core.Stats: every integer counter field must be readable by some name.
+// Fields that hold state rather than counts are exempt.
+func TestStatFieldsCoverStats(t *testing.T) {
+	exempt := map[string]bool{"ResyncsStuck": true}
+	typ := reflect.TypeOf(core.Stats{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Int, reflect.Int64, reflect.Uint64:
+		default:
+			continue
+		}
+		if exempt[f.Name] {
+			continue
+		}
+		var st core.Stats
+		const mark = 7919
+		fv := reflect.ValueOf(&st).Elem().Field(i)
+		if fv.CanInt() {
+			fv.SetInt(mark)
+		} else {
+			fv.SetUint(mark)
+		}
+		named := false
+		for _, read := range statFields {
+			if read(st) == mark {
+				named = true
+				break
+			}
+		}
+		if !named {
+			t.Errorf("core.Stats.%s has no assert.stats name in statFields", f.Name)
+		}
 	}
 }

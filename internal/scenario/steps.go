@@ -20,11 +20,13 @@ var statFields = map[string]func(core.Stats) int64{
 	"source_polls":        func(s core.Stats) int64 { return int64(s.SourcePolls) },
 	"tuples_polled":       func(s core.Stats) int64 { return int64(s.TuplesPolled) },
 	"temps_built":         func(s core.Stats) int64 { return int64(s.TempsBuilt) },
+	"key_based_temps":     func(s core.Stats) int64 { return int64(s.KeyBasedTemps) },
 	"queue_high_water":    func(s core.Stats) int64 { return int64(s.QueueHighWater) },
 	"current_version":     func(s core.Stats) int64 { return int64(s.CurrentVersion) },
 	"versions_published":  func(s core.Stats) int64 { return int64(s.VersionsPublished) },
 	"poll_failures":       func(s core.Stats) int64 { return int64(s.PollFailures) },
 	"poll_retries":        func(s core.Stats) int64 { return int64(s.PollRetries) },
+	"breaker_fast_fails":  func(s core.Stats) int64 { return int64(s.BreakerFastFails) },
 	"degraded_queries":    func(s core.Stats) int64 { return int64(s.DegradedQueries) },
 	"gaps_detected":       func(s core.Stats) int64 { return int64(s.GapsDetected) },
 	"resyncs":             func(s core.Stats) int64 { return int64(s.Resyncs) },
@@ -37,6 +39,9 @@ var statFields = map[string]func(core.Stats) int64{
 	"sub_resyncs":         func(s core.Stats) int64 { return int64(s.SubSnapshotResyncs) },
 	"kernel_probe_rows":   func(s core.Stats) int64 { return int64(s.KernelProbeRows) },
 	"kernel_scan_rows":    func(s core.Stats) int64 { return int64(s.KernelScanRows) },
+	"kernel_stages":       func(s core.Stats) int64 { return int64(s.KernelStages) },
+	"kernel_stage_nodes":  func(s core.Stats) int64 { return int64(s.KernelStageNodes) },
+	"wal_barrier_errs":    func(s core.Stats) int64 { return int64(s.WALBarrierErrs) },
 }
 
 func bindTimeline(n *node, spec *Spec) error {

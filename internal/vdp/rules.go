@@ -29,17 +29,6 @@ func (v *VDP) Propagate(node, child string, dc *delta.RelDelta, resolve Resolver
 	return v.propagate(node, child, dc, resolve, false)
 }
 
-// PropagateNaive is the textbook rule of §5.2 applied verbatim: every
-// operand, including other occurrences of the updated child, is read at
-// whatever state the resolver currently reports, with no sequencing
-// discipline for self-joins. When the caller also resolves every sibling
-// to its OLD state while several children change in one transaction, this
-// reproduces the missed ΔR'⋈ΔS' contribution of Example 6.1. It exists as
-// a falsifiable baseline for experiment E6.
-func (v *VDP) PropagateNaive(node, child string, dc *delta.RelDelta, resolve Resolver) (*delta.RelDelta, error) {
-	return v.propagate(node, child, dc, resolve, true)
-}
-
 func (v *VDP) propagate(node, child string, dc *delta.RelDelta, resolve Resolver, naive bool) (*delta.RelDelta, error) {
 	n := v.Node(node)
 	if n == nil {
