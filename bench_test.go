@@ -355,8 +355,7 @@ func BenchmarkE8FreshnessSimulation(b *testing.B) {
 			h.ScheduleQuery(t, "T", nil)
 		}
 		h.Sim.Run()
-		bounds := d.Bounds(h.Med, plan.Sources())
-		if _, err := h.Environment().CheckFreshness(bounds); err != nil {
+		if _, err := h.Environment(plan).CheckFreshness(h.Bounds()); err != nil {
 			b.Fatal(err)
 		}
 	}

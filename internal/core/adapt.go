@@ -266,11 +266,6 @@ func NewAdaptController(m *Mediator, cfg AdaptConfig) *AdaptController {
 	return &AdaptController{med: m, cfg: cfg, col: NewProfileCollector(m)}
 }
 
-// Collector returns the controller's profile collector (shared windows:
-// a Collect through it ends the window the controller would otherwise
-// consume).
-func (c *AdaptController) Collector() *ProfileCollector { return c.col }
-
 // Start launches the periodic loop. It is an error to start a running
 // controller.
 func (c *AdaptController) Start() error {

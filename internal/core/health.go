@@ -174,13 +174,6 @@ func (m *Mediator) noteContact(src string, t clock.Time) {
 	m.qmu.Unlock()
 }
 
-// lastContactOf reads the last-known instant for src.
-func (m *Mediator) lastContactOf(src string) clock.Time {
-	m.qmu.Lock()
-	defer m.qmu.Unlock()
-	return m.lastContact[src]
-}
-
 // quarantineReason returns why src is quarantined ("" when it is not).
 func (m *Mediator) quarantineReason(src string) string {
 	m.qmu.Lock()

@@ -34,6 +34,7 @@ func (m *Mediator) QueryExpr(expr algebra.RelExpr, opts QueryOptions) (*QueryRes
 			return nil, err
 		}
 		if ok {
+			res.BaseReflect = m.composeBaseReflect(res.Reflect)
 			return res, nil
 		}
 	}

@@ -338,20 +338,3 @@ func (d *RelDelta) String() string {
 	}
 	return b.String()
 }
-
-// Diff computes the delta that transforms relation a into relation b
-// (tuple counts in b minus counts in a). Both must share a schema shape.
-func Diff(rel string, a, b *relation.Relation) *RelDelta {
-	out := NewRel(rel)
-	atm, btm := a.Blockmap(), b.Blockmap()
-	tm := out.lazy(atm.Arity())
-	atm.EachSlot(func(s int32, n int64) bool {
-		tm.AddFrom(atm, s, -n, relation.ModeSigned)
-		return true
-	})
-	btm.EachSlot(func(s int32, n int64) bool {
-		tm.AddFrom(btm, s, n, relation.ModeSigned)
-		return true
-	})
-	return out
-}

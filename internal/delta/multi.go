@@ -201,28 +201,6 @@ func (d *Delta) String() string {
 	return b.String()
 }
 
-// Smashed returns the smash d1 ! d2 ! ... of the given deltas as a new
-// value, leaving the arguments untouched.
-func Smashed(ds ...*Delta) *Delta {
-	out := New()
-	for _, d := range ds {
-		if d != nil {
-			out.Smash(d)
-		}
-	}
-	return out
-}
-
-// FromRows builds a RelDelta from explicit signed rows; convenient in
-// tests.
-func FromRows(rel string, rows ...relation.Row) *RelDelta {
-	d := NewRel(rel)
-	for _, r := range rows {
-		d.Add(r.Tuple, r.Count)
-	}
-	return d
-}
-
 // Validate checks the structural consistency condition: no tuple may carry
 // a zero count (impossible by construction) and, in set mode, counts must
 // be ±1. Returns the first violation found.

@@ -125,17 +125,6 @@ func (r *Relation) Rows() []Row {
 	return out
 }
 
-// Tuples returns all tuples expanded by multiplicity in deterministic order.
-func (r *Relation) Tuples() []Tuple {
-	out := make([]Tuple, 0, r.card)
-	for _, rw := range r.Rows() {
-		for i := 0; i < rw.Count; i++ {
-			out = append(out, rw.Tuple)
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy of the relation, resident join indexes
 // included. This is a handful of slice copies, which is what makes
 // copy-on-write store versions cheap for large relations.

@@ -76,9 +76,6 @@ func (m *TupleMap) Slots() int { return len(m.counts) }
 // CountAt returns the signed count at a slot (zero for dead slots).
 func (m *TupleMap) CountAt(slot int32) int64 { return m.counts[slot] }
 
-// HashAt returns the canonical-key hash of the tuple at a live slot.
-func (m *TupleMap) HashAt(slot int32) uint64 { return m.hashes[slot] }
-
 // ValueAt materializes one attribute of the tuple at a live slot.
 func (m *TupleMap) ValueAt(slot int32, col int) Value {
 	return m.cols[col].valueAt(int(slot))
@@ -145,10 +142,6 @@ func hashSlotProjected(src *TupleMap, slot int32, positions []int) uint64 {
 	}
 	return hashBytes(b)
 }
-
-// hashSlot hashes src's full-width slot; equal to the stored hash, kept
-// as a helper for callers that do not have it at hand.
-func hashSlot(src *TupleMap, slot int32) uint64 { return src.hashes[slot] }
 
 // findWith probes for a slot with hash h satisfying eq. It returns the
 // slot (or -1), the table index where the probe ended (the match, or the

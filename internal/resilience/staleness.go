@@ -22,18 +22,19 @@ import "squirrel/internal/clock"
 // compose the leaves into their parents first, then the parents upward.
 func ComposeFreshness(upper clock.Vector, lower map[string]clock.Vector) clock.Vector {
 	out := make(clock.Vector, len(upper))
+	keepWorst := func(src string, f clock.Time) {
+		if cur, ok := out[src]; !ok || f > cur {
+			out[src] = f
+		}
+	}
 	for src, f := range upper {
 		tier, federated := lower[src]
 		if !federated {
-			if f > out[src] {
-				out[src] = f
-			}
+			keepWorst(src, f)
 			continue
 		}
 		for base, fb := range tier {
-			if composed := f + fb; composed > out[base] {
-				out[base] = composed
-			}
+			keepWorst(base, f+fb)
 		}
 	}
 	return out

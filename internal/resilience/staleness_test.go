@@ -40,4 +40,13 @@ func TestComposeFreshness(t *testing.T) {
 	if a["db"] != 9 || b["db"] != 9 {
 		t.Fatalf("associativity broken: %v vs %v", a, b)
 	}
+
+	// A zero bound is a bound (nothing may be stale), not a missing one:
+	// it must survive composition, plain or through a tier.
+	zero := ComposeFreshness(clock.Vector{"db1": 0, "mid": 0}, map[string]clock.Vector{"mid": {"db2": 0}})
+	for _, src := range []string{"db1", "db2"} {
+		if f, ok := zero[src]; !ok || f != 0 {
+			t.Fatalf("zero bound for %s lost in composition: %v", src, zero)
+		}
+	}
 }

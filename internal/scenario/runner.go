@@ -5,14 +5,11 @@ import (
 	"sort"
 	"strings"
 
-	"squirrel/internal/checker"
 	"squirrel/internal/clock"
 	"squirrel/internal/core"
 	"squirrel/internal/delta"
 	"squirrel/internal/relation"
 	"squirrel/internal/sim"
-	"squirrel/internal/source"
-	"squirrel/internal/trace"
 	"squirrel/internal/vdp"
 )
 
@@ -32,13 +29,11 @@ type Result struct {
 // assertion satisfied.
 func (r *Result) Passed() bool { return r.Err == nil }
 
-// runner executes one spec. Exactly one of h (flat scenario) and th
-// (tiered federation scenario) is non-nil.
+// runner executes one spec.
 type runner struct {
 	spec *Spec
 	h    *sim.Harness
-	th   *sim.TieredHarness
-	flat *vdp.VDP // tiered only: the composed plan the checkers evaluate
+	flat *vdp.VDP // the plan over the leaf sources the checkers evaluate
 	out  strings.Builder
 	fail error
 	subs map[string]*scenSub
@@ -59,34 +54,42 @@ type scenSub struct {
 // ParseSpec accepted (it should not happen); scenario failures land in
 // Result.Err with the transcript recording what happened.
 func Run(spec *Spec) (*Result, error) {
-	r := &runner{spec: spec}
-	var err error
-	if spec.Tiered() {
-		err = r.setupTiered()
-	} else {
-		err = r.setupFlat()
-	}
+	tiers, top, flat, err := spec.BuildPlans()
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
+	initial, err := spec.SeedRelations(flat)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
+	}
+	h, err := sim.NewHarness(top, initial, sim.Delays{
+		Ann:         spec.Delays.Ann,
+		Comm:        spec.Delays.Comm,
+		QProcSource: spec.Delays.QProc,
+		UHold:       spec.Delays.UHold,
+		UProc:       spec.Delays.UProc,
+		QProcMed:    spec.Delays.QProcMed,
+	}, tiers...)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
+	}
+	h.Sim.Horizon = spec.Horizon
+	r := &runner{spec: spec, h: h, flat: flat}
+	h.OnTxnError = func(err error) { r.linef("update-loop error: %v", err) }
 
 	r.out.WriteString("scenario: " + spec.Name + "\n")
 	if spec.Description != "" {
 		r.out.WriteString("description: " + spec.Description + "\n")
 	}
-	if r.th != nil {
-		for _, t := range r.th.Tiers {
-			fmt.Fprintf(&r.out, "tier %s: sources=[%s] exports=[%s]\n",
-				t.Name, strings.Join(t.Plan.Sources(), " "), strings.Join(t.Plan.Exports(), " "))
-		}
-		fmt.Fprintf(&r.out, "plan: mediators=[%s] exports=[%s]\n",
-			strings.Join(r.th.TierNames(), " "), strings.Join(r.th.Plan.Exports(), " "))
-		r.linef("init version=%d", r.th.Top.StoreVersion())
-	} else {
-		fmt.Fprintf(&r.out, "plan: sources=[%s] exports=[%s]\n",
-			strings.Join(r.h.Plan.Sources(), " "), strings.Join(r.h.Plan.Exports(), " "))
-		r.linef("init version=%d", r.h.Med.StoreVersion())
+	reads := "sources"
+	for _, t := range h.Tiers {
+		fmt.Fprintf(&r.out, "tier %s: sources=[%s] exports=[%s]\n",
+			t.Name, strings.Join(t.Plan.Sources(), " "), strings.Join(t.Plan.Exports(), " "))
+		reads = "mediators"
 	}
+	fmt.Fprintf(&r.out, "plan: %s=[%s] exports=[%s]\n",
+		reads, strings.Join(h.Plan.Sources(), " "), strings.Join(h.Plan.Exports(), " "))
+	r.linef("init version=%d", h.Top.StoreVersion())
 
 	for i := range spec.Steps {
 		r.step(&spec.Steps[i])
@@ -96,19 +99,14 @@ func Run(spec *Spec) (*Result, error) {
 	}
 
 	if r.fail == nil {
-		if n := r.simc().Dropped(); n > 0 {
+		if n := r.h.Sim.Dropped(); n > 0 {
 			// A truncated timeline must fail loudly: events that silently
 			// vanished past the horizon would make the run prove nothing.
 			r.failf("%d timeline event(s) dropped past horizon %d — raise the horizon or shorten the timeline", n, spec.Horizon)
 		}
 	}
-	if r.th != nil {
-		_, q := r.th.Rec.Len()
-		r.linef("end updates=%d queries=%d dropped_events=%d", r.th.Top.Stats().UpdateTxns, q, r.simc().Dropped())
-	} else {
-		u, q := r.h.Rec.Len()
-		r.linef("end updates=%d queries=%d dropped_events=%d", u, q, r.simc().Dropped())
-	}
+	_, q := r.h.Rec.Len()
+	r.linef("end updates=%d queries=%d dropped_events=%d", r.h.Top.Stats().UpdateTxns, q, r.h.Sim.Dropped())
 	if r.fail != nil {
 		r.out.WriteString("result: FAIL: " + r.fail.Error() + "\n")
 	} else {
@@ -117,111 +115,9 @@ func Run(spec *Spec) (*Result, error) {
 	return &Result{Spec: spec, Transcript: []byte(r.out.String()), Err: r.fail}, nil
 }
 
-func (r *runner) setupFlat() error {
-	spec := r.spec
-	plan, err := spec.BuildPlan()
-	if err != nil {
-		return err
-	}
-	initial, err := spec.SeedRelations(plan)
-	if err != nil {
-		return err
-	}
-	h, err := sim.NewHarness(plan, initial, r.delays())
-	if err != nil {
-		return err
-	}
-	h.Sim.Horizon = spec.Horizon
-	h.OnTxnError = func(err error) { r.linef("update-loop error: %v", err) }
-	r.h = h
-	return nil
-}
-
-func (r *runner) setupTiered() error {
-	spec := r.spec
-	tierPlans, err := spec.BuildTierPlans()
-	if err != nil {
-		return err
-	}
-	top, err := spec.BuildTopPlan(tierPlans)
-	if err != nil {
-		return err
-	}
-	flat, err := spec.BuildFlatPlan()
-	if err != nil {
-		return err
-	}
-	initial, err := spec.SeedRelations(flat)
-	if err != nil {
-		return err
-	}
-	tiers := make([]sim.TierSpec, len(spec.Mediators))
-	for i, m := range spec.Mediators {
-		tiers[i] = sim.TierSpec{Name: m.Name, Plan: tierPlans[m.Name],
-			Link: sim.LinkDelays{Ann: m.Link.Ann, Comm: m.Link.Comm, QProc: m.Link.QProc}}
-	}
-	th, err := sim.NewTieredHarness(tiers, top, initial, r.delays())
-	if err != nil {
-		return err
-	}
-	th.Sim.Horizon = spec.Horizon
-	th.OnTxnError = func(err error) { r.linef("update-loop error: %v", err) }
-	r.th, r.flat = th, flat
-	return nil
-}
-
-func (r *runner) delays() sim.Delays {
-	return sim.Delays{
-		Ann:         r.spec.Delays.Ann,
-		Comm:        r.spec.Delays.Comm,
-		QProcSource: r.spec.Delays.QProc,
-		UHold:       r.spec.Delays.UHold,
-		UProc:       r.spec.Delays.UProc,
-		QProcMed:    r.spec.Delays.QProcMed,
-	}
-}
-
-// med returns the queried mediator: the top of the federation, or the
-// single mediator of a flat scenario.
-func (r *runner) med() *core.Mediator {
-	if r.th != nil {
-		return r.th.Top
-	}
-	return r.h.Med
-}
-
-func (r *runner) simc() *sim.Sim {
-	if r.th != nil {
-		return r.th.Sim
-	}
-	return r.h.Sim
-}
-
-func (r *runner) exclusive(fn func()) {
-	if r.th != nil {
-		r.th.Exclusive(fn)
-		return
-	}
-	r.h.Exclusive(fn)
-}
-
-func (r *runner) fault(name string) *sim.SourceFault {
-	if r.th != nil {
-		return r.th.Fault(name)
-	}
-	return r.h.Fault(name)
-}
-
-func (r *runner) db(src string) *source.DB {
-	if r.th != nil {
-		return r.th.DBs[src]
-	}
-	return r.h.DBs[src]
-}
-
 // linef writes one transcript line stamped with the current virtual time.
 func (r *runner) linef(format string, args ...any) {
-	fmt.Fprintf(&r.out, "[%8d] ", int64(r.simc().Time()))
+	fmt.Fprintf(&r.out, "[%8d] ", int64(r.h.Sim.Time()))
 	fmt.Fprintf(&r.out, format, args...)
 	r.out.WriteByte('\n')
 }
@@ -239,7 +135,7 @@ func (r *runner) failf(format string, args ...any) {
 func (r *runner) step(st *Step) {
 	switch st.Kind {
 	case "advance":
-		r.simc().AdvanceBy(st.Advance)
+		r.h.Sim.AdvanceBy(st.Advance)
 		r.linef("advance %d", int64(st.Advance))
 	case "commit":
 		r.commit(st.Commit)
@@ -250,19 +146,19 @@ func (r *runner) step(st *Step) {
 	case "query":
 		r.query(st.Query)
 	case "crash":
-		f := r.fault(st.Source)
+		f := r.h.Fault(st.Source)
 		f.Down = true
 		r.linef("crash %s", st.Source)
 	case "restore":
-		f := r.fault(st.Source)
+		f := r.h.Fault(st.Source)
 		f.Down = false
 		f.HangTicks = 0
 		r.linef("restore %s", st.Source)
 	case "hang":
-		r.fault(st.Hang.Source).HangTicks = st.Hang.Ticks
+		r.h.Fault(st.Hang.Source).HangTicks = st.Hang.Ticks
 		r.linef("hang %s ticks=%d", st.Hang.Source, int64(st.Hang.Ticks))
 	case "drop_announcements":
-		r.fault(st.Drop.Source).DropNextAnns += st.Drop.Count
+		r.h.Fault(st.Drop.Source).DropNextAnns += st.Drop.Count
 		r.linef("drop_announcements %s count=%d", st.Drop.Source, st.Drop.Count)
 	case "resync":
 		r.resync(st.Source)
@@ -283,20 +179,21 @@ func (r *runner) step(st *Step) {
 	}
 }
 
-// resync re-derives a stream from a snapshot poll. In a tiered scenario
-// the target may be a tier name (the top mediator resyncs that tier) or
-// a leaf source (every tier consuming it resyncs, which publishes a
-// barrier upward and quarantines the tier at the top — the two-hop heal
-// then needs a second resync of the tier itself).
+// resync re-derives a stream from a snapshot poll. A source of the top
+// plan (a leaf, or in a federation a tier name) is resynced by the top
+// mediator. A leaf the top reads through tiers is resynced by every tier
+// consuming it, which publishes a barrier upward and quarantines the
+// tier at the top — the two-hop heal then needs a second resync of the
+// tier itself.
 func (r *runner) resync(name string) {
-	if r.th != nil && !r.spec.hasMediator(name) {
-		for _, t := range r.th.Tiers {
+	if !planHasSource(r.h.Plan, name) {
+		for _, t := range r.h.Tiers {
 			if !planHasSource(t.Plan, name) {
 				continue
 			}
 			var err error
 			med := t.Med
-			r.exclusive(func() { err = med.ResyncSource(name) })
+			r.h.Exclusive(func() { err = med.ResyncSource(name) })
 			if err != nil {
 				r.linef("resync %s/%s error: %v", t.Name, name, err)
 			} else {
@@ -306,11 +203,11 @@ func (r *runner) resync(name string) {
 		return
 	}
 	var err error
-	r.exclusive(func() { err = r.med().ResyncSource(name) })
+	r.h.Exclusive(func() { err = r.h.Top.ResyncSource(name) })
 	if err != nil {
 		r.linef("resync %s error: %v", name, err)
 	} else {
-		r.linef("resync %s ok version=%d", name, r.med().StoreVersion())
+		r.linef("resync %s ok version=%d", name, r.h.Top.StoreVersion())
 	}
 }
 
@@ -331,7 +228,7 @@ func (r *runner) commit(c *CommitStep) {
 	for _, t := range c.Delete {
 		d.Delete(c.Relation, t)
 	}
-	t, err := r.db(c.Source).Apply(d)
+	t, err := r.h.DBs[c.Source].Apply(d)
 	if err != nil {
 		r.linef("commit %s/%s error: %v", c.Source, c.Relation, err)
 		return
@@ -341,7 +238,7 @@ func (r *runner) commit(c *CommitStep) {
 
 func (r *runner) burst(bu *BurstStep) {
 	rs := r.spec.relSpec(bu.Source, bu.Relation)
-	start := r.simc().Time()
+	start := r.h.Sim.Time()
 	for k := 0; k < bu.Count; k++ {
 		k := k
 		at := start + bu.Every*clock.Time(k+1)
@@ -363,52 +260,30 @@ func (r *runner) burst(bu *BurstStep) {
 			}
 			return d
 		}
-		if r.th != nil {
-			r.th.ScheduleCommit(at, bu.Source, build)
-		} else {
-			r.h.ScheduleCommit(at, bu.Source, build)
-		}
+		r.h.ScheduleCommit(at, bu.Source, build)
 	}
 	r.linef("burst %s/%s count=%d every=%d until=%d",
 		bu.Source, bu.Relation, bu.Count, int64(bu.Every), int64(start+bu.Every*clock.Time(bu.Count)))
 }
 
-// flush runs one explicit update transaction. A federation drains
-// bottom-up: every tier first (in declaration order), then the top, so
-// a leaf commit whose announcements have arrived crosses both hops.
+// flush runs one explicit update transaction on every mediator. A
+// federation drains bottom-up: every tier first (in declaration order),
+// then the top, so a leaf commit whose announcements have arrived
+// crosses both hops.
 func (r *runner) flush() {
-	if r.th != nil {
-		r.exclusive(func() {
-			for _, t := range r.th.Tiers {
-				r.simc().AdvanceBy(r.spec.Delays.UProc)
-				ran, err := t.Med.RunUpdateTransaction()
-				if err != nil {
-					r.linef("flush %s error: %v", t.Name, err)
-					continue
-				}
-				r.linef("flush %s ran=%v version=%d", t.Name, ran, t.Med.StoreVersion())
+	r.h.Exclusive(func() {
+		r.h.FlushAll(func(tier string, med *core.Mediator, ran bool, err error) {
+			step := "flush"
+			if tier != "" {
+				step += " " + tier
 			}
-			r.simc().AdvanceBy(r.spec.Delays.UProc)
-			ran, err := r.th.Top.RunUpdateTransaction()
 			if err != nil {
-				r.linef("flush error: %v", err)
+				r.linef("%s error: %v", step, err)
 				return
 			}
-			r.linef("flush ran=%v version=%d", ran, r.th.Top.StoreVersion())
+			r.linef("%s ran=%v version=%d", step, ran, med.StoreVersion())
 		})
-		return
-	}
-	var ran bool
-	var err error
-	r.h.Exclusive(func() {
-		r.h.Sim.AdvanceBy(r.spec.Delays.UProc)
-		ran, err = r.h.Med.RunUpdateTransaction()
 	})
-	if err != nil {
-		r.linef("flush error: %v", err)
-		return
-	}
-	r.linef("flush ran=%v version=%d", ran, r.h.Med.StoreVersion())
 }
 
 func (r *runner) query(q *QueryStep) {
@@ -419,10 +294,7 @@ func (r *runner) query(q *QueryStep) {
 	}
 	var res *core.QueryResult
 	var err error
-	r.exclusive(func() {
-		r.simc().AdvanceBy(r.spec.Delays.QProcMed)
-		res, err = r.med().QueryOpts(q.Export, q.Attrs, q.Where, opts)
-	})
+	r.h.Exclusive(func() { res, err = r.h.Query(q.Export, q.Attrs, q.Where, opts) })
 
 	label := q.Export
 	if len(q.Attrs) > 0 {
@@ -443,25 +315,16 @@ func (r *runner) query(q *QueryStep) {
 		}
 		return
 	}
-	extra := ""
+	line := fmt.Sprintf("query %s rows=%d version=%d reflect=%s", label, res.Answer.Len(), res.Version, vecString(res.Reflect))
+	if len(r.h.Tiers) > 0 {
+		// reflect is the tier-coordinate ref(t), base its translation
+		// (DESIGN.md §11).
+		line += " base=" + vecString(res.BaseReflect)
+	}
 	if res.Degraded {
-		extra = " degraded staleness=" + vecString(res.Staleness)
+		line += " degraded staleness=" + vecString(res.Staleness)
 	}
-	if r.th != nil {
-		// Record the answer in base coordinates for the composed
-		// consistency/freshness checks, and show both vectors: reflect is
-		// the tier-coordinate ref(t), base its translation (DESIGN.md §11).
-		r.th.Rec.RecordQuery(trace.QueryTxn{
-			Committed: res.Committed, Reflect: res.BaseReflect,
-			Export: q.Export, Attrs: q.Attrs, Cond: q.Where,
-			Answer: res.Answer,
-		})
-		r.linef("query %s rows=%d version=%d reflect=%s base=%s%s",
-			label, res.Answer.Len(), res.Version, vecString(res.Reflect), vecString(res.BaseReflect), extra)
-	} else {
-		r.linef("query %s rows=%d version=%d reflect=%s%s",
-			label, res.Answer.Len(), res.Version, vecString(res.Reflect), extra)
-	}
+	r.linef("%s", line)
 	for _, rw := range res.Answer.Rows() {
 		s := rw.Tuple.String()
 		if rw.Count != 1 {
@@ -514,7 +377,7 @@ func (r *runner) reannotate(anns []AnnSpec) {
 	}
 	var flips []core.AnnotationFlip
 	var err error
-	r.exclusive(func() { flips, err = r.med().Reannotate(m) })
+	r.h.Exclusive(func() { flips, err = r.h.Top.Reannotate(m) })
 	if err != nil {
 		r.linef("reannotate %s error: %v", strings.Join(names, ","), err)
 		return
@@ -524,14 +387,14 @@ func (r *runner) reannotate(anns []AnnSpec) {
 		parts[i] = f.String()
 	}
 	r.linef("reannotate %s flips=[%s] version=%d",
-		strings.Join(names, ","), strings.Join(parts, " "), r.med().StoreVersion())
+		strings.Join(names, ","), strings.Join(parts, " "), r.h.Top.StoreVersion())
 }
 
 func (r *runner) subscribe(s *SubscribeStep) {
 	var sub *core.Subscription
 	var err error
-	r.exclusive(func() {
-		sub, err = r.med().Subscribe(s.Export, core.SubscribeOptions{
+	r.h.Exclusive(func() {
+		sub, err = r.h.Top.Subscribe(s.Export, core.SubscribeOptions{
 			FromVersion: s.From, MaxQueue: s.MaxQueue, MaxLag: s.MaxLag,
 		})
 	})
@@ -570,7 +433,7 @@ func (r *runner) drain(d *DrainStep) {
 		var f core.SubFrame
 		var ok bool
 		var err error
-		r.exclusive(func() { f, ok, err = ss.sub.TryRecv() })
+		r.h.Exclusive(func() { f, ok, err = ss.sub.TryRecv() })
 		if err != nil {
 			r.linef("drain %s error: %v", d.Sub, err)
 			break
@@ -620,7 +483,7 @@ func (r *runner) drain(d *DrainStep) {
 	}
 	if d.MatchStore {
 		var want *relation.Relation
-		r.exclusive(func() { want = r.med().StoreSnapshot(ss.export) })
+		r.h.Exclusive(func() { want = r.h.Top.StoreSnapshot(ss.export) })
 		if want == nil || ss.replica == nil || !ss.replica.Equal(want) {
 			r.failf("drain %s: replica does not match store snapshot of %s", d.Sub, ss.export)
 			return
@@ -641,12 +504,7 @@ func (r *runner) unsubscribe(name string) {
 
 func (r *runner) assert(a *AssertStep) {
 	var checked []string
-	var env checker.Environment
-	if r.th != nil {
-		env = r.th.Environment(r.flat)
-	} else {
-		env = r.h.Environment()
-	}
+	env := r.h.Environment(r.flat)
 	if a.Consistency {
 		if err := env.CheckConsistency(); err != nil {
 			r.failf("assert consistency: %v", err)
@@ -655,7 +513,7 @@ func (r *runner) assert(a *AssertStep) {
 		checked = append(checked, "consistency")
 	}
 	if a.Theorem72 {
-		bounds := r.theorem72Bounds()
+		bounds := r.h.Bounds()
 		if _, err := env.CheckFreshness(bounds); err != nil {
 			r.failf("assert theorem72 (bounds %s): %v", vecString(bounds), err)
 			return
@@ -671,7 +529,7 @@ func (r *runner) assert(a *AssertStep) {
 		checked = append(checked, "freshness worst="+vecString(worst))
 	}
 	if a.HasQuarantined {
-		got := r.med().QuarantinedSources()
+		got := r.h.Top.QuarantinedSources()
 		sort.Strings(got)
 		want := append([]string(nil), a.Quarantined...)
 		sort.Strings(want)
@@ -689,7 +547,7 @@ func (r *runner) assert(a *AssertStep) {
 		}
 		sort.Strings(nodes)
 		for _, nodeName := range nodes {
-			snap := r.med().StoreSnapshot(nodeName)
+			snap := r.h.Top.StoreSnapshot(nodeName)
 			if snap == nil {
 				r.failf("assert store: node %s has no materialized portion", nodeName)
 				return
@@ -702,7 +560,7 @@ func (r *runner) assert(a *AssertStep) {
 		}
 	}
 	if len(a.Stats) > 0 {
-		st := r.med().Stats()
+		st := r.h.Top.Stats()
 		for _, sa := range a.Stats {
 			v := statFields[sa.Name](st)
 			if v < sa.Min || (sa.Max >= 0 && v > sa.Max) {
@@ -713,7 +571,7 @@ func (r *runner) assert(a *AssertStep) {
 		}
 	}
 	if len(a.Events) > 0 {
-		log := r.med().Metrics().Events()
+		log := r.h.Top.Metrics().Events()
 		recent, _ := log.Recent(log.Len())
 		for _, ea := range a.Events {
 			count := 0
@@ -736,7 +594,7 @@ func (r *runner) assert(a *AssertStep) {
 		}
 		sort.Strings(srcs)
 		for _, src := range srcs {
-			got := r.fault(src).DroppedAnns
+			got := r.h.Fault(src).DroppedAnns
 			if got != a.DroppedAnns[src] {
 				r.failf("assert dropped_announcements: %s dropped %d, want %d", src, got, a.DroppedAnns[src])
 				return
@@ -749,16 +607,6 @@ func (r *runner) assert(a *AssertStep) {
 		return
 	}
 	r.linef("assert ok: %s", strings.Join(checked, " "))
-}
-
-// theorem72Bounds computes the freshness vector the theorem72 assert
-// enforces: the flat Theorem 7.2 bounds, or — for a federation — the
-// composed bound in base-source coordinates (ComposedBounds).
-func (r *runner) theorem72Bounds() clock.Vector {
-	if r.th != nil {
-		return r.th.ComposedBounds()
-	}
-	return r.h.Delay.Bounds(r.h.Med, r.h.Plan.Sources())
 }
 
 func maxString(m int64) string {

@@ -7,6 +7,7 @@ import (
 	"squirrel/internal/algebra"
 	"squirrel/internal/clock"
 	"squirrel/internal/relation"
+	"squirrel/internal/sim"
 )
 
 // Spec is one fully validated scenario: the integration environment
@@ -40,13 +41,7 @@ type MediatorSpec struct {
 	Name    string
 	Sources []string
 	Views   []ViewSpec
-	Link    LinkSpec
-}
-
-// LinkSpec is one federation hop's delay triple, mirroring a source's
-// {ann, comm, q_proc} (all in virtual ticks).
-type LinkSpec struct {
-	Ann, Comm, QProc clock.Time
+	Link    sim.LinkDelays
 }
 
 // SourceSpec declares one autonomous source database.

@@ -7,6 +7,7 @@ import (
 	"squirrel/internal/clock"
 	"squirrel/internal/core"
 	"squirrel/internal/relation"
+	"squirrel/internal/sim"
 	"squirrel/internal/sqlview"
 	"squirrel/internal/vdp"
 )
@@ -240,18 +241,17 @@ func bindStep(n *node, spec *Spec) (Step, error) {
 	return st, nil
 }
 
-func (s *Spec) hasSource(name string) bool {
-	for _, src := range s.Sources {
-		if src.Name == name {
-			return true
+// source returns the declared leaf source named name, or nil.
+func (s *Spec) source(name string) *SourceSpec {
+	for i := range s.Sources {
+		if s.Sources[i].Name == name {
+			return &s.Sources[i]
 		}
 	}
-	return false
+	return nil
 }
 
-// Tiered reports whether the scenario declares a federation (mediators
-// between the leaf sources and the top-level views).
-func (s *Spec) Tiered() bool { return len(s.Mediators) > 0 }
+func (s *Spec) hasSource(name string) bool { return s.source(name) != nil }
 
 func (s *Spec) hasMediator(name string) bool {
 	for _, m := range s.Mediators {
@@ -270,13 +270,10 @@ func (s *Spec) hasFaultTarget(name string) bool {
 
 // relSpec resolves (source, relation) to the declared relation spec.
 func (s *Spec) relSpec(src, rel string) *RelSpec {
-	for i := range s.Sources {
-		if s.Sources[i].Name != src {
-			continue
-		}
-		for j := range s.Sources[i].Relations {
-			if s.Sources[i].Relations[j].Name == rel {
-				return &s.Sources[i].Relations[j]
+	if ss := s.source(src); ss != nil {
+		for j := range ss.Relations {
+			if ss.Relations[j].Name == rel {
+				return &ss.Relations[j]
 			}
 		}
 	}
@@ -919,29 +916,13 @@ func sortStrings(s []string) {
 	}
 }
 
-// validate builds the VDP (proving sources/views/annotations coherent)
-// and checks every timeline reference against it. For a tiered scenario
-// every plan layer must build: each tier's plan over its leaf sources,
-// the top plan over the tiers' exports, and the composed flat plan the
-// correctness checkers evaluate.
+// validate builds every plan layer (proving sources, tiers, views and
+// annotations coherent: BuildPlans) and checks every timeline reference
+// against the top plan.
 func (s *Spec) validate() error {
-	var plan *vdp.VDP
-	if s.Tiered() {
-		tiers, err := s.BuildTierPlans()
-		if err != nil {
-			return err
-		}
-		if plan, err = s.BuildTopPlan(tiers); err != nil {
-			return err
-		}
-		if _, err := s.BuildFlatPlan(); err != nil {
-			return err
-		}
-	} else {
-		var err error
-		if plan, err = s.BuildPlan(); err != nil {
-			return err
-		}
+	_, plan, _, err := s.BuildPlans()
+	if err != nil {
+		return err
 	}
 	exports := map[string]bool{}
 	for _, e := range plan.Exports() {
@@ -1011,142 +992,92 @@ func checkAnnSpec(plan *vdp.VDP, a AnnSpec, line int) error {
 	return nil
 }
 
-// BuildPlan constructs the annotated VDP the spec declares.
-func (s *Spec) BuildPlan() (*vdp.VDP, error) {
-	b := vdp.NewBuilder()
-	for _, src := range s.Sources {
-		for _, rs := range src.Relations {
-			schema, err := relSchema(rs)
-			if err != nil {
-				return nil, err
-			}
-			if err := b.AddSource(src.Name, schema); err != nil {
-				return nil, errAt(rs.Line, "source %s: %v", src.Name, err)
-			}
-		}
+// BuildPlans constructs every plan the spec declares. tiers holds one
+// plan per middle-tier mediator, over its listed leaf sources (none for
+// a flat spec). top is the top mediator's plan: the spec's views and
+// annotations over the tiers' exports, bound as source relations under
+// each tier's name — or over the leaf sources when there are no tiers.
+// flat is the single-mediator plan over the leaf sources (every tier
+// view, then every top view) that the correctness checkers evaluate at
+// base-coordinate Reflect vectors, DESIGN.md §11's composition
+// argument; with no tiers it is top itself.
+func (s *Spec) BuildPlans() (tiers []sim.TierSpec, top, flat *vdp.VDP, err error) {
+	topB, flatB := vdp.NewBuilder(), vdp.NewBuilder()
+	if err := s.addLeaves(flatB, nil); err != nil {
+		return nil, nil, nil, err
 	}
-	for _, v := range s.Views {
-		if err := b.AddViewSQL(v.Name, v.SQL); err != nil {
-			return nil, errAt(v.Line, "view %s: %v", v.Name, err)
-		}
-	}
-	for _, a := range s.Annotat {
-		b.Annotate(a.Node, vdp.Ann(a.Materialized, a.Virtual))
-	}
-	plan, err := b.Build()
-	if err != nil {
-		return nil, errAt(1, "plan: %v", err)
-	}
-	for _, a := range s.Annotat {
-		if err := checkAnnSpec(plan, a, a.Line); err != nil {
-			return nil, err
-		}
-	}
-	return plan, nil
-}
-
-// BuildTierPlans constructs one plan per declared mediator, each over
-// its listed leaf sources' relations only.
-func (s *Spec) BuildTierPlans() (map[string]*vdp.VDP, error) {
-	out := map[string]*vdp.VDP{}
+	var tierViews []ViewSpec
 	for _, m := range s.Mediators {
 		b := vdp.NewBuilder()
-		for _, srcName := range m.Sources {
-			for i := range s.Sources {
-				if s.Sources[i].Name != srcName {
-					continue
-				}
-				for _, rs := range s.Sources[i].Relations {
-					schema, err := relSchema(rs)
-					if err != nil {
-						return nil, err
-					}
-					if err := b.AddSource(srcName, schema); err != nil {
-						return nil, errAt(m.Line, "mediator %s: source %s: %v", m.Name, srcName, err)
-					}
-				}
-			}
+		if err := s.addLeaves(b, m.Sources); err != nil {
+			return nil, nil, nil, err
 		}
-		for _, v := range m.Views {
-			if err := b.AddViewSQL(v.Name, v.SQL); err != nil {
-				return nil, errAt(v.Line, "mediator %s: view %s: %v", m.Name, v.Name, err)
-			}
-		}
-		plan, err := b.Build()
+		p, err := buildPlan(b, m.Line, "mediator "+m.Name+" plan", m.Views, nil)
 		if err != nil {
-			return nil, errAt(m.Line, "mediator %s plan: %v", m.Name, err)
+			return nil, nil, nil, err
 		}
-		out[m.Name] = plan
+		for _, e := range p.Exports() {
+			if err := topB.AddSource(m.Name, p.Node(e).Schema); err != nil {
+				return nil, nil, nil, errAt(m.Line, "mediator %s export %s: %v", m.Name, e, err)
+			}
+		}
+		tiers = append(tiers, sim.TierSpec{Name: m.Name, Plan: p, Link: m.Link})
+		tierViews = append(tierViews, m.Views...)
 	}
-	return out, nil
+	if len(tiers) == 0 {
+		top, err = buildPlan(flatB, 1, "plan", s.Views, s.Annotat)
+		return nil, top, top, err
+	}
+	if top, err = buildPlan(topB, 1, "top plan", s.Views, s.Annotat); err != nil {
+		return nil, nil, nil, err
+	}
+	flat, err = buildPlan(flatB, 1, "flat plan", append(tierViews, s.Views...), nil)
+	return tiers, top, flat, err
 }
 
-// BuildTopPlan constructs the top mediator's plan: each tier's exports
-// bound as source relations under the tier's name, the spec's views
-// over them, and the spec's annotations applied.
-func (s *Spec) BuildTopPlan(tiers map[string]*vdp.VDP) (*vdp.VDP, error) {
-	b := vdp.NewBuilder()
-	for _, m := range s.Mediators {
-		tp := tiers[m.Name]
-		for _, e := range tp.Exports() {
-			if err := b.AddSource(m.Name, tp.Node(e).Schema); err != nil {
-				return nil, errAt(m.Line, "mediator %s export %s: %v", m.Name, e, err)
+// addLeaves declares the relations of the named leaf sources in b, in
+// the order named (every source, in declaration order, when names is
+// nil).
+func (s *Spec) addLeaves(b *vdp.Builder, names []string) error {
+	if names == nil {
+		for _, src := range s.Sources {
+			names = append(names, src.Name)
+		}
+	}
+	for _, name := range names {
+		for _, rs := range s.source(name).Relations {
+			schema, err := relSchema(rs)
+			if err != nil {
+				return err
+			}
+			if err := b.AddSource(name, schema); err != nil {
+				return errAt(rs.Line, "source %s: %v", name, err)
 			}
 		}
 	}
-	for _, v := range s.Views {
+	return nil
+}
+
+// buildPlan adds views to b in order, applies anns, and builds the plan
+// (what names it in a build error at line), checking every annotation
+// against the result.
+func buildPlan(b *vdp.Builder, line int, what string, views []ViewSpec, anns []AnnSpec) (*vdp.VDP, error) {
+	for _, v := range views {
 		if err := b.AddViewSQL(v.Name, v.SQL); err != nil {
 			return nil, errAt(v.Line, "view %s: %v", v.Name, err)
 		}
 	}
-	for _, a := range s.Annotat {
+	for _, a := range anns {
 		b.Annotate(a.Node, vdp.Ann(a.Materialized, a.Virtual))
 	}
 	plan, err := b.Build()
 	if err != nil {
-		return nil, errAt(1, "top plan: %v", err)
+		return nil, errAt(line, "%s: %v", what, err)
 	}
-	for _, a := range s.Annotat {
+	for _, a := range anns {
 		if err := checkAnnSpec(plan, a, a.Line); err != nil {
 			return nil, err
 		}
-	}
-	return plan, nil
-}
-
-// BuildFlatPlan composes the federation into one single-mediator plan
-// over the leaf sources — every tier view, then every top view, as
-// views of one VDP. The correctness checkers evaluate this plan at
-// base-coordinate Reflect vectors: it defines what the federation's
-// answers must equal (DESIGN.md §11's composition argument).
-func (s *Spec) BuildFlatPlan() (*vdp.VDP, error) {
-	b := vdp.NewBuilder()
-	for _, src := range s.Sources {
-		for _, rs := range src.Relations {
-			schema, err := relSchema(rs)
-			if err != nil {
-				return nil, err
-			}
-			if err := b.AddSource(src.Name, schema); err != nil {
-				return nil, errAt(rs.Line, "source %s: %v", src.Name, err)
-			}
-		}
-	}
-	for _, m := range s.Mediators {
-		for _, v := range m.Views {
-			if err := b.AddViewSQL(v.Name, v.SQL); err != nil {
-				return nil, errAt(v.Line, "mediator %s: view %s: %v", m.Name, v.Name, err)
-			}
-		}
-	}
-	for _, v := range s.Views {
-		if err := b.AddViewSQL(v.Name, v.SQL); err != nil {
-			return nil, errAt(v.Line, "view %s: %v", v.Name, err)
-		}
-	}
-	plan, err := b.Build()
-	if err != nil {
-		return nil, errAt(1, "flat plan: %v", err)
 	}
 	return plan, nil
 }

@@ -304,31 +304,46 @@ func (p *yparser) parseMapBlock(at int) (*node, error) {
 }
 
 // isMapStart reports whether a flow-less line begins a map entry:
-// an unquoted key followed by ':' (and a space or end of line).
+// a key followed by ':' (and a space or end of line).
 func isMapStart(s string) bool {
 	_, _, ok := splitKey(s)
 	return ok
 }
 
-// splitKey splits "key: rest" or "key:"; keys are plain scalars (no
-// quotes, no flow characters).
+// splitKey splits "key: rest" or "key:"; a key is a plain scalar (no
+// quotes, no flow characters) or a quoted one (quotedKey).
 func splitKey(s string) (key, rest string, ok bool) {
-	i := strings.IndexByte(s, ':')
-	if i <= 0 {
-		return "", "", false
+	key, after, ok := quotedKey(s)
+	if !ok {
+		i := strings.IndexByte(s, ':')
+		if i <= 0 || strings.ContainsAny(s[:i], "\"'[]{},#") {
+			return "", "", false
+		}
+		key, after = strings.TrimSpace(s[:i]), s[i+1:]
 	}
-	key = s[:i]
-	if strings.ContainsAny(key, "\"'[]{},#") {
-		return "", "", false
-	}
-	after := s[i+1:]
 	if after == "" {
-		return strings.TrimSpace(key), "", true
+		return key, "", true
 	}
 	if after[0] != ' ' {
 		return "", "", false
 	}
-	return strings.TrimSpace(key), strings.TrimSpace(after), true
+	return key, strings.TrimSpace(after), true
+}
+
+// quotedKey parses a non-empty single- or double-quoted mapping key from
+// the front of s — how a spec names a key a plain scalar cannot spell,
+// such as the primed node "R'". after is what follows the key's ':'; ok
+// is false when s does not start with one.
+func quotedKey(s string) (key, after string, ok bool) {
+	if s == "" || (s[0] != '"' && s[0] != '\'') {
+		return "", "", false
+	}
+	n, rest, err := parseFlowValue(s, 0, false)
+	rest = strings.TrimLeft(rest, " ")
+	if err != nil || n.scalar == "" || !strings.HasPrefix(rest, ":") {
+		return "", "", false
+	}
+	return n.scalar, rest[1:], true
 }
 
 // parseFlow parses an inline value: a flow list [..], a flow map {..},
@@ -386,18 +401,21 @@ func parseFlowValue(s string, line int, inFlow bool) (*node, string, error) {
 			return out, s[1:], nil
 		}
 		for {
-			i := strings.IndexByte(s, ':')
-			if i <= 0 {
-				return nil, "", errAt(line, "expected 'key: value' in flow map, got %q", s)
-			}
-			key := strings.TrimSpace(s[:i])
-			if strings.ContainsAny(key, "\"'[]{},") {
-				return nil, "", errAt(line, "bad flow-map key %q", key)
+			key, after, ok := quotedKey(s)
+			if !ok {
+				i := strings.IndexByte(s, ':')
+				if i <= 0 {
+					return nil, "", errAt(line, "expected 'key: value' in flow map, got %q", s)
+				}
+				key, after = strings.TrimSpace(s[:i]), s[i+1:]
+				if strings.ContainsAny(key, "\"'[]{},") {
+					return nil, "", errAt(line, "bad flow-map key %q", key)
+				}
 			}
 			if _, dup := out.vals[key]; dup {
 				return nil, "", errAt(line, "duplicate key %q", key)
 			}
-			item, rest, err := parseFlowValue(s[i+1:], line, true)
+			item, rest, err := parseFlowValue(after, line, true)
 			if err != nil {
 				return nil, "", err
 			}

@@ -111,6 +111,25 @@ func TestYAMLNestedFlow(t *testing.T) {
 	}
 }
 
+// TestYAMLQuotedKeys: a single- or double-quoted key names what a plain
+// scalar cannot, such as a primed node, in block and flow maps alike.
+func TestYAMLQuotedKeys(t *testing.T) {
+	block := parseDoc(t, "store:\n  \"R'\": 5\n  'V: w': 6\n  T: 7\n")
+	flow := parseDoc(t, "store: {\"R'\": 5, 'V: w': 6, T: 7}\n")
+	for name, n := range map[string]*node{"block": block, "flow": flow} {
+		st := n.vals["store"]
+		if st == nil || st.kind != kindMap {
+			t.Fatalf("%s: store is not a mapping", name)
+		}
+		if got := strings.Join(st.keys, "|"); got != "R'|V: w|T" {
+			t.Errorf("%s: keys %q, want %q", name, got, "R'|V: w|T")
+		}
+		if v := st.vals["R'"]; v == nil || v.scalar != "5" {
+			t.Errorf("%s: store[R'] missing", name)
+		}
+	}
+}
+
 func TestYAMLErrors(t *testing.T) {
 	cases := []struct {
 		name, src, want string

@@ -88,11 +88,11 @@ func TestTheorem72FreshnessFullyMaterialized(t *testing.T) {
 	driveWorkload(h, 40000, nil)
 	h.Sim.Run()
 
-	env := h.Environment()
+	env := h.Environment(h.Plan)
 	if err := env.CheckConsistency(); err != nil {
 		t.Fatalf("simulated run inconsistent: %v", err)
 	}
-	bounds := d.Bounds(h.Med, plan.Sources())
+	bounds := h.Bounds()
 	worst, err := env.CheckFreshness(bounds)
 	if err != nil {
 		t.Fatalf("freshness bound violated: %v (bounds %v)", err, bounds)
@@ -123,16 +123,16 @@ func TestTheorem72FreshnessHybrid(t *testing.T) {
 	driveWorkload(h, 40000, []string{"r1", "s2"})
 	h.Sim.Run()
 
-	env := h.Environment()
+	env := h.Environment(h.Plan)
 	if err := env.CheckConsistency(); err != nil {
 		t.Fatalf("hybrid simulated run inconsistent: %v", err)
 	}
-	bounds := d.Bounds(h.Med, plan.Sources())
+	bounds := h.Bounds()
 	if _, err := env.CheckFreshness(bounds); err != nil {
 		t.Fatalf("freshness bound violated: %v", err)
 	}
-	if h.Med.Stats().SourcePolls <= 2 {
-		t.Errorf("hybrid queries should poll: %+v", h.Med.Stats())
+	if h.Top.Stats().SourcePolls <= 2 {
+		t.Errorf("hybrid queries should poll: %+v", h.Top.Stats())
 	}
 }
 
@@ -148,7 +148,7 @@ func TestStalenessGrowsWithHoldDelay(t *testing.T) {
 		h.Sim.Horizon = 60000
 		driveWorkload(h, 60000, nil)
 		h.Sim.Run()
-		worst, err := h.Environment().CheckFreshness(clock.Vector{})
+		worst, err := h.Environment(h.Plan).CheckFreshness(clock.Vector{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestInitialStateLoading(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := h.Med.StoreSnapshot("T")
+	got := h.Top.StoreSnapshot("T")
 	if got == nil || got.Card() != 1 {
 		t.Fatalf("initial view: %v", got)
 	}
@@ -197,7 +197,7 @@ func TestTwoSourcePollsStayOnSimGoroutine(t *testing.T) {
 		h.Sim.Horizon = 20000
 		driveWorkload(h, 20000, nil)
 		h.Sim.Run()
-		if err := h.Environment().CheckConsistency(); err != nil {
+		if err := h.Environment(h.Plan).CheckConsistency(); err != nil {
 			t.Fatalf("inconsistent: %v", err)
 		}
 		var b strings.Builder

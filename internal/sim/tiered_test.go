@@ -1,13 +1,14 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/clock"
 	"squirrel/internal/core"
 	"squirrel/internal/delta"
 	"squirrel/internal/relation"
-	"squirrel/internal/trace"
 	"squirrel/internal/vdp"
 )
 
@@ -15,7 +16,7 @@ import (
 // serves VR over db1.R, medB serves VS over db2.S, the top joins the
 // two exports, and the flat plan is the same views composed in one
 // mediator for the checkers.
-func buildFederation(t *testing.T, d Delays) (*TieredHarness, *vdp.VDP) {
+func buildFederation(t *testing.T, d Delays) (*Harness, *vdp.VDP) {
 	t.Helper()
 	rSchema := relation.MustSchema("R", []relation.Attribute{
 		{Name: "r1", Type: relation.KindInt}, {Name: "r2", Type: relation.KindInt}}, "r1")
@@ -86,12 +87,9 @@ func buildFederation(t *testing.T, d Delays) (*TieredHarness, *vdp.VDP) {
 	s0 := relation.NewSet(sSchema)
 	s0.Insert(relation.T(5, 100))
 	link := LinkDelays{Ann: 1, Comm: 1, QProc: 1}
-	h, err := NewTieredHarness([]TierSpec{
-		{Name: "meda", Plan: planA, Link: link},
-		{Name: "medb", Plan: planB, Link: link},
-	}, top, map[string]map[string]*relation.Relation{
+	h, err := NewHarness(top, map[string]map[string]*relation.Relation{
 		"db1": {"R": r0}, "db2": {"S": s0},
-	}, d)
+	}, d, TierSpec{Name: "meda", Plan: planA, Link: link}, TierSpec{Name: "medb", Plan: planB, Link: link})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,19 +98,14 @@ func buildFederation(t *testing.T, d Delays) (*TieredHarness, *vdp.VDP) {
 
 // queryTop runs one top-mediator query transaction on T and records it
 // in base coordinates.
-func queryTop(t *testing.T, h *TieredHarness) *relation.Relation {
+func queryTop(t *testing.T, h *Harness) *relation.Relation {
 	t.Helper()
 	var answer *relation.Relation
 	h.Exclusive(func() {
-		h.Sim.AdvanceBy(h.Delay.QProcMed)
-		res, err := h.Top.QueryOpts("T", nil, nil, core.QueryOptions{})
+		res, err := h.Query("T", nil, nil, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Rec.RecordQuery(trace.QueryTxn{
-			Committed: res.Committed, Reflect: res.BaseReflect,
-			Export: "T", Answer: res.Answer,
-		})
 		answer = res.Answer
 	})
 	return answer
@@ -147,13 +140,13 @@ func TestTieredHarnessPropagatesAndChecks(t *testing.T) {
 		}
 		h.Sim.AdvanceBy(4) // deliver leaf announcements
 		h.Exclusive(func() {
-			if err := h.FlushAll(); err != nil {
+			if err := h.FlushAll(nil); err != nil {
 				t.Fatal(err)
 			}
 		})
 		h.Sim.AdvanceBy(4) // deliver tier announcements
 		h.Exclusive(func() {
-			if err := h.FlushAll(); err != nil {
+			if err := h.FlushAll(nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -166,7 +159,7 @@ func TestTieredHarnessPropagatesAndChecks(t *testing.T) {
 	if err := env.CheckConsistency(); err != nil {
 		t.Fatalf("composed consistency: %v", err)
 	}
-	bounds := h.ComposedBounds()
+	bounds := h.Bounds()
 	for _, src := range []string{"db1", "db2"} {
 		if bounds[src] == 0 {
 			t.Fatalf("composed bound for %s is zero: %v", src, bounds)
@@ -197,7 +190,7 @@ func TestTieredHarnessTierCrashQuarantines(t *testing.T) {
 		}
 		h.Sim.AdvanceBy(4)
 		h.Exclusive(func() {
-			if err := h.FlushAll(); err != nil {
+			if err := h.FlushAll(nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -231,5 +224,81 @@ func TestTieredHarnessTierCrashQuarantines(t *testing.T) {
 	}
 	if got := queryTop(t, h); got.Len() != 4 {
 		t.Fatalf("post-resync T has %d rows, want 4:\n%s", got.Len(), got)
+	}
+}
+
+// TestQueryExprStampsBaseReflect: a multi-export query (QueryExpr)
+// stamps the same BaseReflect a single-export query composes from the
+// same Reflect — leaf coordinates behind a tier, Reflect itself with no
+// tier.
+func TestQueryExprStampsBaseReflect(t *testing.T) {
+	rSchema := relation.MustSchema("R", []relation.Attribute{
+		{Name: "r1", Type: relation.KindInt}, {Name: "r2", Type: relation.KindInt}}, "r1")
+	build := func(src string, schema *relation.Schema, view, sql string) *vdp.VDP {
+		b := vdp.NewBuilder()
+		if err := b.AddSource(src, schema); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AddViewSQL(view, sql); err != nil {
+			t.Fatal(err)
+		}
+		p, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	d := Delays{
+		Ann:         map[string]clock.Time{"db1": 1},
+		Comm:        map[string]clock.Time{"db1": 1},
+		QProcSource: map[string]clock.Time{"db1": 1},
+		UProc:       1, QProcMed: 1,
+	}
+	tierPlan := build("db1", rSchema, "VR", `SELECT r1, r2 FROM R`)
+	tiered, err := NewHarness(build("meda", tierPlan.Node("VR").Schema, "T", `SELECT r1, r2 FROM VR`), nil, d,
+		TierSpec{Name: "meda", Plan: tierPlan, Link: LinkDelays{Ann: 1, Comm: 1, QProc: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := NewHarness(build("db1", rSchema, "T", `SELECT r1, r2 FROM R`), nil, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*Harness{tiered, flat} {
+		dl := delta.New()
+		dl.Insert("R", relation.T(1, 2))
+		committed, err := h.DBs["db1"].Apply(dl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ { // leaf→tier, then tier→top
+			h.Sim.AdvanceBy(4)
+			h.Exclusive(func() { err = h.FlushAll(nil) })
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var one, multi *core.QueryResult
+		var errExpr error
+		h.Exclusive(func() {
+			one, err = h.Top.QueryOpts("T", nil, nil, core.QueryOptions{})
+			multi, errExpr = h.Top.QueryExpr(algebra.Scan{Rel: "T"}, core.QueryOptions{})
+		})
+		if err != nil || errExpr != nil {
+			t.Fatal(err, errExpr)
+		}
+		if multi.BaseReflect == nil {
+			t.Fatalf("tiers=%d: QueryExpr left BaseReflect nil (Reflect %v)", len(h.Tiers), multi.Reflect)
+		}
+		if !reflect.DeepEqual(multi.Reflect, one.Reflect) || !reflect.DeepEqual(multi.BaseReflect, one.BaseReflect) {
+			t.Fatalf("tiers=%d: QueryExpr reflect=%v base=%v, QueryOpts reflect=%v base=%v",
+				len(h.Tiers), multi.Reflect, multi.BaseReflect, one.Reflect, one.BaseReflect)
+		}
+		if multi.BaseReflect["db1"] < committed {
+			t.Fatalf("tiers=%d: base %v does not reflect the db1 commit at %d", len(h.Tiers), multi.BaseReflect, committed)
+		}
+		if len(h.Tiers) == 0 && !reflect.DeepEqual(multi.BaseReflect, multi.Reflect) {
+			t.Fatalf("no tiers: BaseReflect %v differs from Reflect %v", multi.BaseReflect, multi.Reflect)
+		}
 	}
 }

@@ -152,23 +152,23 @@ func (db *DB) Subscribe(h Handler) {
 func (db *DB) Apply(d *delta.Delta) (clock.Time, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// Pre-validate against a scratch copy so a failed transaction leaves
-	// no partial effects.
-	for _, relName := range d.Relations() {
+	// Apply to copies and install them only once every touched relation
+	// has taken its delta, so a failed transaction leaves no partial
+	// effects.
+	rels := d.Relations()
+	next := make([]*relation.Relation, len(rels))
+	for i, relName := range rels {
 		r, ok := db.rels[relName]
 		if !ok {
 			return 0, fmt.Errorf("source %s: transaction touches unknown relation %q", db.name, relName)
 		}
-		scratch := r.Clone()
-		if err := d.Get(relName).ApplyTo(scratch, true); err != nil {
+		next[i] = r.Clone()
+		if err := d.Get(relName).ApplyTo(next[i], true); err != nil {
 			return 0, fmt.Errorf("source %s: %w", db.name, err)
 		}
 	}
-	for _, relName := range d.Relations() {
-		if err := d.Get(relName).ApplyTo(db.rels[relName], true); err != nil {
-			// Unreachable after pre-validation; surface loudly if not.
-			panic(fmt.Sprintf("source %s: apply after validation failed: %v", db.name, err))
-		}
+	for i, relName := range rels {
+		db.rels[relName] = next[i]
 	}
 	t := db.clock.Now()
 	snapshot := d.Clone()

@@ -91,6 +91,22 @@ func TestApplyAtomicOnFailure(t *testing.T) {
 	if cur.Contains(relation.T(9, 90)) {
 		t.Fatalf("failed transaction leaked effects: %s", cur)
 	}
+	// Two relations, the second (in apply order) failing: the first must
+	// keep its state although its own delta was valid.
+	sSchema := relation.MustSchema("S", []relation.Attribute{{Name: "c", Type: relation.KindInt}}, "c")
+	if err := db.LoadRelation(relation.NewSet(sSchema)); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := db.Current("R")
+	two := delta.New()
+	two.Insert("R", relation.T(9, 90))
+	two.Delete("S", relation.T(5)) // not present → strict failure
+	if _, err := db.Apply(two); err == nil {
+		t.Fatalf("redundant delete in the second relation must fail")
+	}
+	if cur, _ := db.Current("R"); !cur.Equal(before) {
+		t.Fatalf("failed two-relation transaction changed R:\n%swant\n%s", cur, before)
+	}
 	unknown := delta.New()
 	unknown.Insert("ZZ", relation.T(1))
 	if _, err := db.Apply(unknown); err == nil {

@@ -12,3 +12,12 @@ import "squirrel/internal/delta"
 func (v *VDP) PropagateNaive(node, child string, dc *delta.RelDelta, resolve Resolver) (*delta.RelDelta, error) {
 	return v.propagate(node, child, dc, resolve, true)
 }
+
+// Must is like New but panics on error; for literal plans in tests.
+func Must(nodes ...*Node) *VDP {
+	v, err := New(nodes...)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}

@@ -192,15 +192,6 @@ func (v *VDP) computeRelevance() {
 // something). The IUP skips propagation into irrelevant nodes.
 func (v *VDP) MaterializationRelevant(name string) bool { return v.relevant[name] }
 
-// Must is like New but panics on error; for tests and literal plans.
-func Must(nodes ...*Node) *VDP {
-	v, err := New(nodes...)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 func (v *VDP) validateNode(n *Node) error {
 	if n.IsLeaf() {
 		if n.Source == "" {

@@ -95,17 +95,6 @@ func NewBackendServer(b SourceBackend) *SourceServer {
 	return &SourceServer{db: b, conns: make(map[*srvConn]struct{})}
 }
 
-// ListenAndServe listens on addr and serves until Close. It returns the
-// bound address via the Addr method once listening; use Start for a
-// ready-signaled variant.
-func (s *SourceServer) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Start listens on addr (use ":0" for an ephemeral port), begins serving
 // in the background, and returns the bound address.
 func (s *SourceServer) Start(addr string) (string, error) {
