@@ -17,8 +17,9 @@ import (
 	"squirrel/internal/clock"
 	"squirrel/internal/core"
 	"squirrel/internal/federate"
-	"squirrel/internal/persist"
+	"squirrel/internal/node"
 	"squirrel/internal/resilience"
+	"squirrel/internal/source"
 	"squirrel/internal/sqlview"
 	"squirrel/internal/vdp"
 	"squirrel/internal/wal"
@@ -32,15 +33,16 @@ func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
 // cmdServeMediator assembles a mediator against TCP-served source
-// databases (schemas discovered via the catalog protocol), optionally
-// restores a persisted snapshot, serves queries over TCP, runs the
-// periodic update-transaction loop, and saves a snapshot on shutdown.
+// databases (schemas discovered via the catalog protocol), starts it
+// through the node lifecycle (recovering from -wal-dir if it holds state),
+// serves queries over TCP, runs the update loop, and checkpoints the WAL
+// on shutdown.
 //
 //	squirrel serve-mediator \
 //	    -source 127.0.0.1:7070 -source 127.0.0.1:7071 \
 //	    -view 'T=SELECT r1, s1 FROM R JOIN S ON r2 = s1' \
 //	    -virtual 'T:s1' \
-//	    -listen 127.0.0.1:7080 -flush 500ms -state state.json
+//	    -listen 127.0.0.1:7080 -flush 500ms -wal-dir wal
 func cmdServeMediator(args []string) error {
 	fs := flag.NewFlagSet("serve-mediator", flag.ExitOnError)
 	var sources, views, virtuals multiFlag
@@ -50,7 +52,6 @@ func cmdServeMediator(args []string) error {
 	listen := fs.String("listen", "127.0.0.1:7080", "mediator listen address")
 	flush := fs.Duration("flush", 500*time.Millisecond,
 		"longest an announcement may wait (u_hold); retry interval after a failed flush or quarantine")
-	state := fs.String("state", "", "snapshot file: restored on start if present, saved on shutdown")
 	walDir := fs.String("wal-dir", "",
 		"write-ahead delta log directory: commits are durable before they publish, and restart "+
 			"recovers checkpoint + log replay instead of rebuilding from the sources (empty = disabled)")
@@ -111,6 +112,7 @@ func cmdServeMediator(args []string) error {
 	clk := &clock.Logical{}
 	b := vdp.NewBuilder()
 	conns := map[string]core.SourceConn{}
+	attach := map[string]func(source.Handler){}
 	var clients []*wire.Client
 	defer func() {
 		for _, c := range clients {
@@ -140,6 +142,7 @@ func cmdServeMediator(args []string) error {
 		}
 		nameOf[addr] = c.Name()
 		clients = append(clients, c)
+		attach[c.Name()] = c.OnAnnounce
 		schemas, err := c.Catalog()
 		if err != nil {
 			return fmt.Errorf("catalog from %s: %w", addr, err)
@@ -169,11 +172,11 @@ func cmdServeMediator(args []string) error {
 		}
 	}
 	for _, v := range virtuals {
-		node, attrs, ok := strings.Cut(v, ":")
+		nodeName, attrs, ok := strings.Cut(v, ":")
 		if !ok {
 			return fmt.Errorf("bad -virtual %q (want NODE:attr,attr)", v)
 		}
-		b.Annotate(strings.TrimSpace(node), vdp.Ann(nil, strings.Split(attrs, ",")))
+		b.Annotate(strings.TrimSpace(nodeName), vdp.Ann(nil, strings.Split(attrs, ",")))
 	}
 	plan, err := b.Build()
 	if err != nil {
@@ -182,92 +185,38 @@ func cmdServeMediator(args []string) error {
 	fmt.Println("\nannotated VDP:")
 	fmt.Print(plan)
 
-	med, err := core.New(core.Config{VDP: plan, Sources: conns, Clock: clk,
-		Resilience: resil})
-	if err != nil {
-		return err
-	}
-	// Announcement feeds hook up only after restore/recovery below: WAL
-	// replay must drain an empty queue, and a live announcement arriving
-	// mid-replay would be coalesced into the wrong version.
-	var walMgr *wal.Manager
-	var walInfo *wal.RecoveryInfo
-	restored := false
+	var walOpts *wal.Options
 	if *walDir != "" {
 		policy, err := wal.ParseSyncPolicy(*walFsync)
 		if err != nil {
 			return fmt.Errorf("bad -wal-fsync: %w", err)
 		}
-		walMgr, err = wal.Open(wal.Options{
-			Dir: *walDir, Policy: policy, CompactEvery: *walCompact,
-			Metrics: med.Metrics(),
-		})
-		if err != nil {
-			return err
-		}
-		has, err := walMgr.HasState()
-		if err != nil {
-			return err
-		}
-		if has {
-			if walInfo, err = walMgr.Recover(med); err != nil {
-				return fmt.Errorf("recovering WAL: %w", err)
-			}
-			restored = true
-			fmt.Printf("recovered from WAL %s: checkpoint v%d", *walDir, walInfo.CheckpointVersion)
-			if walInfo.Replayed > 0 {
-				fmt.Printf(" + %d replayed commit(s)", walInfo.Replayed)
-			}
-			fmt.Printf(" → v%d", walInfo.Version)
-			if walInfo.TornTail {
-				fmt.Print(" (torn log tail discarded)")
-			}
-			if walInfo.Stopped != "" {
-				fmt.Printf(" (replay stopped: %s)", walInfo.Stopped)
-			}
-			fmt.Printf("; ref′ %v\n", med.LastProcessed())
-		}
+		walOpts = &wal.Options{Dir: *walDir, Policy: policy, CompactEvery: *walCompact}
 	}
-	if !restored && *state != "" {
-		if f, err := os.Open(*state); err == nil {
-			snap, err := persist.Load(f)
-			f.Close()
-			if err != nil {
-				return fmt.Errorf("loading snapshot: %w", err)
-			}
-			if err := med.Restore(snap); err != nil {
-				return fmt.Errorf("restoring snapshot: %w", err)
-			}
-			restored = true
-			fmt.Printf("restored state from %s (ref′ %v)\n", *state, med.LastProcessed())
-			if !vdp.AnnotationsEqual(med.Annotations(), plan.Annotations()) {
-				fmt.Println("restored annotation differs from the construction default:")
-				fmt.Print(med.VDP())
-			}
-		}
+	// Wire sources offer no replay: after recovery each is quarantined,
+	// and the first flush resyncs it by compensated snapshot poll.
+	n, err := node.Start(node.Config{
+		Mediator: core.Config{VDP: plan, Sources: conns, Clock: clk, Resilience: resil},
+		WAL:      walOpts, Attach: attach,
+	})
+	if err != nil {
+		return err
 	}
-	if !restored {
-		if err := med.Initialize(); err != nil {
-			return err
-		}
-	}
-	if walMgr != nil && walInfo == nil {
-		if err := walMgr.Start(med); err != nil {
-			return err
-		}
-	}
-	for _, c := range clients {
-		c.OnAnnounce(med.OnAnnouncement)
-	}
+	med := n.Mediator
 	medRef.Store(med)
-	if walInfo != nil {
-		// Wire feeds cannot replay announcements committed while we were
-		// down, so quarantine every source: the first flush resyncs each
-		// by compensated snapshot poll, and consistency holds across the
-		// gap (same mechanism as a mid-run reconnect).
-		for name := range conns {
-			med.QuarantineSource(name, "recovered from WAL; commits during downtime unseen")
+	if info := n.Recovery; info != nil {
+		fmt.Printf("recovered from WAL %s: checkpoint v%d", *walDir, info.CheckpointVersion)
+		if info.Replayed > 0 {
+			fmt.Printf(" + %d replayed commit(s)", info.Replayed)
 		}
+		fmt.Printf(" → v%d", info.Version)
+		if info.TornTail {
+			fmt.Print(" (torn log tail discarded)")
+		}
+		if info.Stopped != "" {
+			fmt.Printf(" (replay stopped: %s)", info.Stopped)
+		}
+		fmt.Printf("; ref′ %v\n", med.LastProcessed())
 	}
 
 	// The export face installs before the update loop starts, so its
@@ -343,24 +292,12 @@ func cmdServeMediator(args []string) error {
 	if err := rt.Stop(); err != nil {
 		fmt.Fprintf(os.Stderr, "squirrel: final flush: %v\n", err)
 	}
-	if walMgr != nil {
-		if err := walMgr.Close(); err != nil {
+	if n.WAL != nil {
+		if err := n.WAL.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "squirrel: closing WAL: %v\n", err)
 		} else {
 			fmt.Printf("WAL checkpointed at v%d\n", med.StoreVersion())
 		}
-	}
-	if *state != "" {
-		snap, err := med.Snapshot()
-		if err != nil {
-			return err
-		}
-		// Atomic replace (tmp + fsync + rename): a crash mid-save leaves
-		// the previous snapshot intact, never a torn file.
-		if err := persist.SaveFile(*state, snap); err != nil {
-			return err
-		}
-		fmt.Printf("state saved to %s\n", *state)
 	}
 	return nil
 }

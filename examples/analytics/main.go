@@ -1,12 +1,10 @@
 // Command analytics shows the operational side of the framework: several
 // export relations over shared sources, multi-export queries (§6.3's
 // set-of-triples form), a background runtime draining the update queue as
-// announcements arrive (the u_hold policy), and a state snapshot a
-// restarted process would resume from.
+// announcements arrive (the u_hold policy), and the consistency check.
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"time"
@@ -87,13 +85,4 @@ func main() {
 		log.Fatalf("consistency: %v", err)
 	}
 	fmt.Println("\nconsistency check (incl. multi-export answers): OK")
-
-	// Snapshot the mediator state; a restarted process would restore it
-	// and replay announcements committed while down (see
-	// System.StartFromState and source.DB.ReplaySince).
-	var state bytes.Buffer
-	if err := sys.SaveState(&state); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("state snapshot: %d bytes (ref′ %v)\n", state.Len(), sys.Mediator().LastProcessed())
 }

@@ -14,6 +14,7 @@ import (
 	"squirrel/internal/clock"
 	"squirrel/internal/core"
 	"squirrel/internal/delta"
+	"squirrel/internal/node"
 	"squirrel/internal/relation"
 	"squirrel/internal/source"
 	"squirrel/internal/vdp"
@@ -97,19 +98,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	med, err := core.New(core.Config{
-		VDP:     plan,
-		Sources: map[string]core.SourceConn{"hr": hrConn, "payroll": payConn},
-		Clock:   clk,
+	// One ordered start: attach both announcement feeds, then initialize.
+	n, err := node.Start(node.Config{
+		Mediator: core.Config{VDP: plan, Clock: clk,
+			Sources: map[string]core.SourceConn{"hr": hrConn, "payroll": payConn}},
+		Attach: map[string]func(source.Handler){"hr": hrConn.OnAnnounce, "payroll": payConn.OnAnnounce},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	hrConn.OnAnnounce(med.OnAnnouncement)
-	payConn.OnAnnounce(med.OnAnnouncement)
-	if err := med.Initialize(); err != nil {
-		log.Fatal(err)
-	}
+	med := n.Mediator
 	fmt.Println("\nannotated VDP at the mediator:")
 	fmt.Print(plan)
 	fmt.Printf("hr is a %s; payroll is a %s\n", med.Contributor("hr"), med.Contributor("payroll"))

@@ -13,7 +13,7 @@ import (
 )
 
 // saveBytes renders snap as a v3 envelope.
-func saveBytes(t *testing.T, snap *core.StateSnapshot) []byte {
+func saveBytes(t testing.TB, snap *core.StateSnapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Save(&buf, snap); err != nil {

@@ -1,9 +1,9 @@
-// Package persist serializes mediator state snapshots (core.StateSnapshot)
-// as a versioned JSON envelope, so a mediator can shut down and resume
-// where it left off: restore the snapshot, then replay source
-// announcements committed after the snapshot's ref′ vector
-// (source.DB.ReplaySince) — the mediator's dedup makes over-replay
-// harmless.
+// Package persist is the WAL's checkpoint envelope: it serializes a
+// mediator's durable state (core.StateSnapshot — the materialized store,
+// its ref′ vector and the live annotation) as CRC-sealed JSON, written
+// atomically. internal/wal writes one per compaction and on clean
+// shutdown, and recovery loads the newest readable one before replaying
+// the log.
 package persist
 
 import (

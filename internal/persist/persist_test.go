@@ -12,7 +12,7 @@ import (
 	"squirrel/internal/vdp"
 )
 
-func sampleSnapshot(t *testing.T) *core.StateSnapshot {
+func sampleSnapshot(t testing.TB) *core.StateSnapshot {
 	t.Helper()
 	schema := relation.MustSchema("T", []relation.Attribute{
 		{Name: "a", Type: relation.KindInt}, {Name: "b", Type: relation.KindString}})

@@ -59,7 +59,7 @@ type Client struct {
 	conn    net.Conn
 	nextID  uint64
 	waiters map[uint64]chan Message
-	handler func(source.Announcement)
+	handler source.Handler
 	closed  bool
 	readErr error
 	// ready gates roundTrip: it is false from the moment a connection is
@@ -167,7 +167,7 @@ func (c *Client) Name() string {
 // commit you care about; typically wired to Mediator.OnAnnouncement before
 // Initialize). The handler survives reconnects: the server re-subscribes
 // every new connection to its announcement feed.
-func (c *Client) OnAnnounce(h func(source.Announcement)) {
+func (c *Client) OnAnnounce(h source.Handler) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.handler = h

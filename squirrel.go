@@ -204,8 +204,6 @@ type (
 	TimeVector = clock.Vector
 	// Runtime drives update transactions by group commit (the u_hold policy).
 	Runtime = core.Runtime
-	// StateSnapshot is the mediator's durable state (see SaveState).
-	StateSnapshot = core.StateSnapshot
 	// StoreVersion is one immutable, atomically-published state of the
 	// mediator's materialized store. Obtain the current one with
 	// Mediator.CurrentVersion (or the sequence number alone with

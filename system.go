@@ -2,11 +2,10 @@ package squirrel
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"squirrel/internal/core"
-	"squirrel/internal/persist"
+	"squirrel/internal/node"
 	"squirrel/internal/relation"
 	"squirrel/internal/source"
 	"squirrel/internal/sqlview"
@@ -26,7 +25,6 @@ type System struct {
 	sources map[string]*Source
 	order   []string
 	med     *Mediator
-	plan    *VDP
 	wal     *wal.Manager
 	resil   ResilienceConfig
 	started bool
@@ -179,48 +177,11 @@ func (s *System) SetResilience(cfg ResilienceConfig) {
 	s.resil = cfg
 }
 
-// assemble validates the plan and builds a mediator over the registered
-// sources — shared by every Start variant. Announcement feeds are NOT
-// connected: a recovering mediator must replay with an empty queue.
-func (s *System) assemble() (*VDP, *Mediator, error) {
-	plan, err := s.builder.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	conns := make(map[string]SourceConn, len(s.sources))
-	for name, src := range s.sources {
-		conns[name] = core.LocalSource{DB: src.db}
-	}
-	med, err := core.New(core.Config{VDP: plan, Sources: conns, Clock: s.clk, Recorder: s.rec,
-		Resilience: s.resil})
-	if err != nil {
-		return nil, nil, err
-	}
-	return plan, med, nil
-}
-
-func (s *System) connectFeeds(med *Mediator) {
-	for _, src := range s.sources {
-		core.ConnectLocal(med, src.db)
-	}
-}
-
 // Start validates the plan, builds the mediator, connects announcement
 // feeds, and initializes the materialized store from the sources.
 func (s *System) Start() error {
-	if s.started {
-		return fmt.Errorf("squirrel: already started")
-	}
-	plan, med, err := s.assemble()
-	if err != nil {
-		return err
-	}
-	s.connectFeeds(med)
-	if err := med.Initialize(); err != nil {
-		return err
-	}
-	s.plan, s.med, s.started = plan, med, true
-	return nil
+	_, err := s.start(nil)
+	return err
 }
 
 // DurabilityConfig configures the write-ahead delta log behind
@@ -247,45 +208,37 @@ type DurabilityConfig struct {
 // (from the source logs; never a full resync). The returned info is nil
 // on a fresh start.
 func (s *System) StartDurable(cfg DurabilityConfig) (*wal.RecoveryInfo, error) {
+	return s.start(&wal.Options{Dir: cfg.Dir, Policy: cfg.Fsync, CompactEvery: cfg.CompactEvery})
+}
+
+// start builds the mediator over the registered sources through the one
+// node lifecycle (internal/node), with a log when opts is non-nil.
+func (s *System) start(opts *wal.Options) (*wal.RecoveryInfo, error) {
 	if s.started {
 		return nil, fmt.Errorf("squirrel: already started")
 	}
-	plan, med, err := s.assemble()
+	plan, err := s.builder.Build()
 	if err != nil {
 		return nil, err
 	}
-	mgr, err := wal.Open(wal.Options{
-		Dir: cfg.Dir, Policy: cfg.Fsync, CompactEvery: cfg.CompactEvery,
-		Metrics: med.Metrics(),
-	})
+	cfg := node.Config{
+		Mediator: core.Config{VDP: plan, Sources: map[string]SourceConn{}, Clock: s.clk, Recorder: s.rec,
+			Resilience: s.resil},
+		WAL:    opts,
+		Attach: map[string]func(source.Handler){},
+		Replay: map[string]func(Time, source.Handler){},
+	}
+	for name, src := range s.sources {
+		cfg.Mediator.Sources[name] = core.LocalSource{DB: src.db}
+		cfg.Attach[name] = src.db.Subscribe
+		cfg.Replay[name] = src.db.ReplaySince
+	}
+	n, err := node.Start(cfg)
 	if err != nil {
 		return nil, err
 	}
-	has, err := mgr.HasState()
-	if err != nil {
-		return nil, err
-	}
-	var info *wal.RecoveryInfo
-	if has {
-		if info, err = mgr.Recover(med); err != nil {
-			return nil, err
-		}
-		s.connectFeeds(med)
-		lp := med.LastProcessed()
-		for name, src := range s.sources {
-			src.db.ReplaySince(lp[name], med.OnAnnouncement)
-		}
-	} else {
-		s.connectFeeds(med)
-		if err := med.Initialize(); err != nil {
-			return nil, err
-		}
-		if err := mgr.Start(med); err != nil {
-			return nil, err
-		}
-	}
-	s.plan, s.med, s.wal, s.started = plan, med, mgr, true
-	return info, nil
+	s.med, s.wal, s.started = n.Mediator, n.WAL, true
+	return n.Recovery, nil
 }
 
 // WAL exposes the system's log manager (nil unless StartDurable).
@@ -464,10 +417,10 @@ func (s *System) CurrentVersion() *StoreVersion {
 // re-annotation (Reannotate, StartAdapt) this is the mediator's current
 // plan, not the one the system was constructed with.
 func (s *System) Plan() *VDP {
-	if s.started {
-		return s.med.VDP()
+	if !s.started {
+		return nil
 	}
-	return s.plan
+	return s.med.VDP()
 }
 
 // Trace exposes the transaction trace recorder.
@@ -532,62 +485,4 @@ func (s *System) StartRuntime(hold time.Duration) (*Runtime, error) {
 		return nil, err
 	}
 	return rt, nil
-}
-
-// SaveState writes a snapshot of the mediator's durable state (the
-// materialized store and its ref′ vector) to w. Restore it into a fresh
-// system with StartFromState.
-func (s *System) SaveState(w io.Writer) error {
-	if !s.started {
-		return fmt.Errorf("squirrel: not started")
-	}
-	snap, err := s.med.Snapshot()
-	if err != nil {
-		return err
-	}
-	return persist.Save(w, snap)
-}
-
-// SaveStateFile is SaveState with crash-safe file semantics: the
-// snapshot is written to a temp file in the target's directory, fsynced,
-// and atomically renamed over path — a crash mid-save never clobbers the
-// previous snapshot.
-func (s *System) SaveStateFile(path string) error {
-	if !s.started {
-		return fmt.Errorf("squirrel: not started")
-	}
-	snap, err := s.med.Snapshot()
-	if err != nil {
-		return err
-	}
-	return persist.SaveFile(path, snap)
-}
-
-// StartFromState is Start, except the materialized store is restored from
-// a snapshot (written by SaveState on a system with the same sources,
-// views, and annotations) instead of being rebuilt by polling. After the
-// restore, announcements committed since the snapshot are replayed from
-// the source logs, so the first Sync catches the mediator up.
-func (s *System) StartFromState(r io.Reader) error {
-	if s.started {
-		return fmt.Errorf("squirrel: already started")
-	}
-	snap, err := persist.Load(r)
-	if err != nil {
-		return err
-	}
-	plan, med, err := s.assemble()
-	if err != nil {
-		return err
-	}
-	s.connectFeeds(med)
-	if err := med.Restore(snap); err != nil {
-		return err
-	}
-	lp := med.LastProcessed()
-	for name, src := range s.sources {
-		src.db.ReplaySince(lp[name], med.OnAnnouncement)
-	}
-	s.plan, s.med, s.started = plan, med, true
-	return nil
 }
