@@ -699,7 +699,7 @@ func BenchmarkE15ConcurrentReads(b *testing.B) {
 					go func() {
 						defer wg.Done()
 						for i := 0; i < per; i++ {
-							if _, err := med.QueryOpts("T", attrs, nil, squirrel.QueryOptions{}); err != nil {
+							if _, err := med.Query(algebra.SelectFrom("T", attrs, nil), squirrel.QueryOptions{}); err != nil {
 								b.Error(err)
 								return
 							}
@@ -845,7 +845,7 @@ func BenchmarkColumnarPropagation(b *testing.B) {
 		if !ran {
 			b.Fatal("update transaction had nothing to do")
 		}
-		if _, err := med.QueryOpts("T", attrs, nil, squirrel.QueryOptions{}); err != nil {
+		if _, err := med.Query(algebra.SelectFrom("T", attrs, nil), squirrel.QueryOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

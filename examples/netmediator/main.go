@@ -11,6 +11,7 @@ import (
 	"log"
 	"time"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/clock"
 	"squirrel/internal/core"
 	"squirrel/internal/delta"
@@ -113,11 +114,11 @@ func main() {
 	fmt.Printf("hr is a %s; payroll is a %s\n", med.Contributor("hr"), med.Contributor("payroll"))
 
 	show := func(tag string) {
-		ans, err := med.Query("EngPay", nil, nil)
+		res, err := med.Query(algebra.Scan{Rel: "EngPay"}, core.QueryOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\nEngPay %s:\n%s", tag, ans)
+		fmt.Printf("\nEngPay %s:\n%s", tag, res.Answer)
 	}
 	show("(initial)")
 

@@ -52,6 +52,20 @@ func (s Scan) BaseRelations(set map[string]bool) { set[s.Rel] = true }
 
 func (s Scan) String() string { return s.Rel }
 
+// SelectFrom builds π_attrs σ_cond (rel), the expression `SELECT attrs
+// FROM rel WHERE cond` denotes: attrs nil means every attribute, cond nil
+// no selection. The answer keeps rel's name.
+func SelectFrom(rel string, attrs []string, cond Expr) RelExpr {
+	var e RelExpr = Scan{Rel: rel}
+	if cond != nil {
+		e = Select{Input: e, Pred: cond}
+	}
+	if attrs != nil {
+		e = Project{Input: e, Cols: attrs}
+	}
+	return e
+}
+
 // Select filters its input by a predicate.
 type Select struct {
 	Input RelExpr

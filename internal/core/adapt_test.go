@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/delta"
 	"squirrel/internal/relation"
 )
@@ -13,7 +14,7 @@ import (
 func hotR1Workload(t *testing.T, e *testEnv, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := e.med.QueryOpts("T", []string{"r1"}, nil, QueryOptions{}); err != nil {
+		if _, err := e.med.Query(algebra.SelectFrom("T", []string{"r1"}, nil), QueryOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,7 +111,7 @@ func TestAdaptControllerStepGates(t *testing.T) {
 	// hysteresis the switch is deferred.
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 5; j++ {
-			if _, err := e.med.QueryOpts("T", []string{"s2"}, nil, QueryOptions{KeyBased: KeyBasedOff}); err != nil {
+			if _, err := e.med.Query(algebra.SelectFrom("T", []string{"s2"}, nil), QueryOptions{KeyBased: KeyBasedOff}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/checker"
 	"squirrel/internal/clock"
 	"squirrel/internal/delta"
@@ -227,7 +228,7 @@ func TestBatchedPublishedSnapshotECA(t *testing.T) {
 	d.Insert("S", relation.T(10, 77, 20))
 	e.db2.MustApply(d) // committed but NOT yet announced
 
-	res, err := e.med.QueryOpts("T", []string{"r1", "s2"}, nil, QueryOptions{KeyBased: KeyBasedOff})
+	res, err := e.med.Query(algebra.SelectFrom("T", []string{"r1", "s2"}, nil), QueryOptions{KeyBased: KeyBasedOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestBatchedPublishedSnapshotECA(t *testing.T) {
 	if _, err := e.med.RunUpdateTransaction(); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := e.med.QueryOpts("T", []string{"r1", "s2"}, nil, QueryOptions{KeyBased: KeyBasedOff})
+	res2, err := e.med.Query(algebra.SelectFrom("T", []string{"r1", "s2"}, nil), QueryOptions{KeyBased: KeyBasedOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +356,7 @@ func TestHybridDifferenceExport(t *testing.T) {
 			t.Fatalf("hybrid set store diverged:\n%swant\n%s", got, want)
 		}
 		// Full query (touches virtual y) through the VAP.
-		res, err := med.QueryOpts("G", nil, nil, QueryOptions{})
+		res, err := med.Query(algebra.SelectFrom("G", nil, nil), QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/delta"
 	"squirrel/internal/relation"
 )
@@ -69,7 +70,7 @@ func TestConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, err := e.med.QueryOpts("T", []string{"r1", "s1"}, nil, QueryOptions{}); err != nil {
+				if _, err := e.med.Query(algebra.SelectFrom("T", []string{"r1", "s1"}, nil), QueryOptions{}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/checker"
 	"squirrel/internal/source"
 	"squirrel/internal/vdp"
@@ -31,7 +32,7 @@ func TestTheorem71Consistency(t *testing.T) {
 					default:
 						attrs := [][]string{{"r1", "s1"}, {"r1", "r3"}, {"s1", "s2"}, nil}[rng.Intn(4)]
 						mode := []KeyBasedMode{KeyBasedAuto, KeyBasedOff, KeyBasedForce}[rng.Intn(3)]
-						if _, err := e.med.QueryOpts("T", attrs, nil, QueryOptions{KeyBased: mode}); err != nil {
+						if _, err := e.med.Query(algebra.SelectFrom("T", attrs, nil), QueryOptions{KeyBased: mode}); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -58,7 +59,7 @@ func TestTheorem71Consistency(t *testing.T) {
 // carry the query commit time.
 func TestReflectVectorSemantics(t *testing.T) {
 	e := newEnv(t, nil, nil, nil)
-	res, err := e.med.QueryOpts("T", []string{"r1"}, nil, QueryOptions{})
+	res, err := e.med.Query(algebra.SelectFrom("T", []string{"r1"}, nil), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestReflectVectorSemantics(t *testing.T) {
 	sp := e.vdp_.Node("S'").Schema
 	tS := e.vdp_.Node("T").Schema
 	e2 := newEnv(t, vdp.AllVirtual(rp), vdp.AllVirtual(sp), vdp.AllVirtual(tS))
-	res2, err := e2.med.QueryOpts("T", nil, nil, QueryOptions{KeyBased: KeyBasedOff})
+	res2, err := e2.med.Query(algebra.SelectFrom("T", nil, nil), QueryOptions{KeyBased: KeyBasedOff})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,7 +206,7 @@ func (e *triEnv) truthAt(t testing.TB, reflect clock.Vector) *relation.Relation 
 
 func (e *triEnv) query(opts QueryOptions) (*QueryResult, error) {
 	opts.KeyBased = KeyBasedOff
-	return e.med.QueryOpts("V", triAttrs, nil, opts)
+	return e.med.Query(algebra.SelectFrom("V", triAttrs, nil), opts)
 }
 
 func TestServeStaleWhenSourceDown(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/checker"
 )
 
@@ -82,12 +83,13 @@ func observedTranscript(t *testing.T, seed int64, workers int, afterTxn func(rp 
 				attrs = attrs[:1+rng.Intn(len(attrs)-1)]
 			}
 			mode := []KeyBasedMode{KeyBasedAuto, KeyBasedOff, KeyBasedForce}[rng.Intn(3)]
-			res, err := rp.med.QueryOpts(rp.export, attrs, nil, QueryOptions{KeyBased: mode})
+			cond := randomCond(rng, n.Schema)
+			res, err := rp.med.Query(algebra.SelectFrom(rp.export, attrs, cond), QueryOptions{KeyBased: mode})
 			if err != nil {
 				t.Fatalf("workers=%d step %d query: %v\nplan:\n%s", workers, step, err, rp.plan)
 			}
-			record("step %d query attrs=%v mode=%d polled=%d keybased=%v version=%d\n%s",
-				step, attrs, mode, res.Polled, res.KeyBased, res.Version, res.Answer)
+			record("step %d query attrs=%v cond=%v mode=%d polled=%d keybased=%v version=%d\n%s",
+				step, attrs, cond, mode, res.Polled, res.KeyBased, res.Version, res.Answer)
 		}
 	}
 	// Drain, then record the final state once more.

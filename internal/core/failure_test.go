@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/clock"
 	"squirrel/internal/delta"
 	"squirrel/internal/relation"
@@ -119,7 +120,7 @@ func TestQueryPollFailureDoesNotRecordTransaction(t *testing.T) {
 	_, qBefore := e.rec.Len()
 	flaky.failures = flaky.calls + 1
 	// A cold query over virtual data must poll db1 — and fail cleanly.
-	if _, err := e.med.QueryOpts("T", []string{"r3"}, nil, QueryOptions{KeyBased: KeyBasedOff}); err == nil {
+	if _, err := e.med.Query(algebra.SelectFrom("T", []string{"r3"}, nil), QueryOptions{KeyBased: KeyBasedOff}); err == nil {
 		t.Fatalf("query with failing poll must error")
 	}
 	_, qAfter := e.rec.Len()
@@ -127,7 +128,7 @@ func TestQueryPollFailureDoesNotRecordTransaction(t *testing.T) {
 		t.Fatalf("failed query must not be recorded as a transaction")
 	}
 	// Subsequent query works.
-	if _, err := e.med.QueryOpts("T", []string{"r3"}, nil, QueryOptions{}); err != nil {
+	if _, err := e.med.Query(algebra.SelectFrom("T", []string{"r3"}, nil), QueryOptions{}); err != nil {
 		t.Fatalf("retry query: %v", err)
 	}
 }

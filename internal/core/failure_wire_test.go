@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/clock"
 	"squirrel/internal/core"
 	"squirrel/internal/delta"
@@ -106,7 +107,7 @@ func TestWireMidPollDisconnectRetries(t *testing.T) {
 		wire.DialOptions{Reconnect: true, RetryBase: 10 * time.Millisecond},
 	)
 	e.inj.DropNext("link", 1)
-	ans, err := e.med.Query("V", nil, nil)
+	ans, err := queryV(e.med)
 	if err != nil {
 		t.Fatalf("query across disconnect: %v", err)
 	}
@@ -135,7 +136,7 @@ func TestWireMidPollDisconnectRetries(t *testing.T) {
 	if _, err := e.med.RunUpdateTransaction(); err != nil {
 		t.Fatal(err)
 	}
-	ans2, err := e.med.Query("V", nil, nil)
+	ans2, err := queryV(e.med)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestWirePollDeadlineTimeoutThenRetry(t *testing.T) {
 	)
 	e.inj.HangNext("link", 1, 120*time.Millisecond)
 	start := time.Now()
-	ans, err := e.med.Query("V", nil, nil)
+	ans, err := queryV(e.med)
 	if err != nil {
 		t.Fatalf("query across stalled attempt: %v", err)
 	}
@@ -195,7 +196,7 @@ func TestWireBreakerTransitions(t *testing.T) {
 
 	e.inj.SetDown("link", true)
 	for i := 0; i < 2; i++ {
-		if _, err := e.med.Query("V", nil, nil); err == nil {
+		if _, err := queryV(e.med); err == nil {
 			t.Fatalf("query %d should fail while link is down", i)
 		}
 	}
@@ -206,7 +207,7 @@ func TestWireBreakerTransitions(t *testing.T) {
 
 	// Open: polls fail fast without touching the wire.
 	before := e.inj.Counts("link").DownOps
-	if _, err := e.med.Query("V", nil, nil); err == nil || !strings.Contains(err.Error(), "circuit open") {
+	if _, err := queryV(e.med); err == nil || !strings.Contains(err.Error(), "circuit open") {
 		t.Fatalf("open breaker must fast-fail, got %v", err)
 	}
 	if after := e.inj.Counts("link").DownOps; after != before {
@@ -222,10 +223,19 @@ func TestWireBreakerTransitions(t *testing.T) {
 		t.Fatalf("after cooldown: breaker = %q, want half-open", got)
 	}
 	e.inj.SetDown("link", false)
-	if _, err := e.med.Query("V", nil, nil); err != nil {
+	if _, err := queryV(e.med); err != nil {
 		t.Fatalf("probe query: %v", err)
 	}
 	if got := health().Breaker; got != "closed" {
 		t.Fatalf("after successful probe: breaker = %q, want closed", got)
 	}
+}
+
+// queryV answers the whole of V, the export every test here reads.
+func queryV(m *core.Mediator) (*relation.Relation, error) {
+	res, err := m.Query(algebra.Scan{Rel: "V"}, core.QueryOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return res.Answer, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/clock"
 	"squirrel/internal/delta"
 	"squirrel/internal/relation"
@@ -116,7 +117,7 @@ func runFaultSoak(t *testing.T, seed int64, workers int) {
 	// Warm the poll cache, then unleash the chaos mix on the
 	// polled source: errors, latency, and occasional scripted
 	// outages from the soak loop below.
-	if _, err := e.med.QueryOpts("T", attrs, nil, QueryOptions{KeyBased: KeyBasedOff}); err != nil {
+	if _, err := e.med.Query(algebra.SelectFrom("T", attrs, nil), QueryOptions{KeyBased: KeyBasedOff}); err != nil {
 		t.Fatal(err)
 	}
 	inj.Set("db2", resilience.Faults{ErrProb: 0.45, LatencyProb: 0.1, Latency: 100 * time.Microsecond})
@@ -188,8 +189,7 @@ func runFaultSoak(t *testing.T, seed int64, workers int) {
 		go func() {
 			defer rwg.Done()
 			for i := 0; i < queries; i++ {
-				res, err := e.med.QueryOpts("T", attrs, nil,
-					QueryOptions{KeyBased: KeyBasedOff, Degrade: ServeStale})
+				res, err := e.med.Query(algebra.SelectFrom("T", attrs, nil), QueryOptions{KeyBased: KeyBasedOff, Degrade: ServeStale})
 				if err != nil {
 					if !degradeRefusal(err) {
 						t.Errorf("query: %v", err)

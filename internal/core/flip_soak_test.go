@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/delta"
 	"squirrel/internal/relation"
 	"squirrel/internal/vdp"
@@ -108,7 +109,7 @@ func TestFlipSoakConcurrentValidity(t *testing.T) {
 			defer rwg.Done()
 			lastVersion := uint64(0)
 			for i := 0; i < queries; i++ {
-				res, err := e.med.QueryOpts("T", []string{"r1", "s2"}, nil, QueryOptions{KeyBased: KeyBasedOff})
+				res, err := e.med.Query(algebra.SelectFrom("T", []string{"r1", "s2"}, nil), QueryOptions{KeyBased: KeyBasedOff})
 				if err != nil {
 					t.Error(err)
 					return

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/delta"
 	"squirrel/internal/relation"
 )
@@ -66,11 +67,11 @@ func TestHungPollDoesNotBlockMediator(t *testing.T) {
 		}
 	}
 	step("fast-path query", func() error {
-		_, err := e.med.QueryOpts("T", []string{"r1", "s1"}, nil, QueryOptions{KeyBased: KeyBasedOff})
+		_, err := e.med.Query(algebra.SelectFrom("T", []string{"r1", "s1"}, nil), QueryOptions{KeyBased: KeyBasedOff})
 		return err
 	})
 	step("polling query", func() error {
-		_, err := e.med.QueryOpts("T", []string{"r1", "s2"}, nil, QueryOptions{KeyBased: KeyBasedOff})
+		_, err := e.med.Query(algebra.SelectFrom("T", []string{"r1", "s2"}, nil), QueryOptions{KeyBased: KeyBasedOff})
 		return err
 	})
 	step("snapshot", func() error {

@@ -239,7 +239,7 @@ func TestExample21FullyMaterialized(t *testing.T) {
 	}
 
 	// Query fast path.
-	res, err := e.med.QueryOpts("T", []string{"r1", "s1"}, nil, QueryOptions{})
+	res, err := e.med.Query(algebra.SelectFrom("T", []string{"r1", "s1"}, nil), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestEagerCompensationQueryPath(t *testing.T) {
 	d.Insert("S", relation.T(10, 99, 20)) // change s2 for s1=10
 	e.db2.MustApply(d)
 
-	res, err := e.med.QueryOpts("T", []string{"r1", "s2"}, nil, QueryOptions{KeyBased: KeyBasedOff})
+	res, err := e.med.Query(algebra.SelectFrom("T", []string{"r1", "s2"}, nil), QueryOptions{KeyBased: KeyBasedOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestEagerCompensationQueryPath(t *testing.T) {
 	if _, err := e.med.RunUpdateTransaction(); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := e.med.QueryOpts("T", []string{"r1", "s2"}, nil, QueryOptions{KeyBased: KeyBasedOff})
+	res2, err := e.med.Query(algebra.SelectFrom("T", []string{"r1", "s2"}, nil), QueryOptions{KeyBased: KeyBasedOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestExample23HybridQueries(t *testing.T) {
 	truth := e.groundTruth(t)
 
 	// Materialized-only query: served from the store, no polls.
-	res, err := e.med.QueryOpts("T", []string{"r1", "s1"}, nil, QueryOptions{})
+	res, err := e.med.Query(algebra.SelectFrom("T", []string{"r1", "s1"}, nil), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,8 +383,7 @@ func TestExample23HybridQueries(t *testing.T) {
 	// Virtual-attribute query: r3 needed. R' is materialized, so no
 	// polling is needed either way; both constructions must agree.
 	for _, mode := range []KeyBasedMode{KeyBasedOff, KeyBasedForce} {
-		res, err := e.med.QueryOpts("T", []string{"r3", "s1"},
-			algebra.Lt(algebra.A("r3"), algebra.CInt(100)), QueryOptions{KeyBased: mode})
+		res, err := e.med.Query(algebra.SelectFrom("T", []string{"r3", "s1"}, algebra.Lt(algebra.A("r3"), algebra.CInt(100))), QueryOptions{KeyBased: mode})
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -415,7 +414,7 @@ func TestHybridWithVirtualChildrenKeyBasedWins(t *testing.T) {
 	want, _ := projectSelectLocal(truth["T"], "T", []string{"r3", "s1"}, nil)
 
 	// Standard: polls both sources.
-	res, err := e.med.QueryOpts("T", []string{"r3", "s1"}, nil, QueryOptions{KeyBased: KeyBasedOff})
+	res, err := e.med.Query(algebra.SelectFrom("T", []string{"r3", "s1"}, nil), QueryOptions{KeyBased: KeyBasedOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +426,7 @@ func TestHybridWithVirtualChildrenKeyBasedWins(t *testing.T) {
 	}
 
 	// Key-based (auto should choose it): polls only db1.
-	res2, err := e.med.QueryOpts("T", []string{"r3", "s1"}, nil, QueryOptions{KeyBased: KeyBasedAuto})
+	res2, err := e.med.Query(algebra.SelectFrom("T", []string{"r3", "s1"}, nil), QueryOptions{KeyBased: KeyBasedAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +454,7 @@ func TestQueryConditionOnUnprojectedAttr(t *testing.T) {
 
 	for _, mode := range []KeyBasedMode{KeyBasedOff, KeyBasedForce} {
 		e := newEnv(t, vdp.AllVirtual(rp), nil, vdp.Ann([]string{"r1", "s1"}, []string{"r3", "s2"}))
-		res, err := e.med.QueryOpts("T", []string{"r1", "r3"}, cond, QueryOptions{KeyBased: mode})
+		res, err := e.med.Query(algebra.SelectFrom("T", []string{"r1", "r3"}, cond), QueryOptions{KeyBased: mode})
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -470,7 +469,7 @@ func TestQueryConditionOnUnprojectedAttr(t *testing.T) {
 	}
 	// Fast path variant.
 	e := newEnv(t, nil, nil, nil)
-	res, err := e.med.QueryOpts("T", []string{"r1"}, cond, QueryOptions{})
+	res, err := e.med.Query(algebra.SelectFrom("T", []string{"r1"}, cond), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,34 +480,31 @@ func TestQueryConditionOnUnprojectedAttr(t *testing.T) {
 
 func TestQueryErrors(t *testing.T) {
 	e := newEnv(t, nil, nil, nil)
-	if _, err := e.med.Query("R'", nil, nil); err == nil {
+	if _, err := e.med.Query(algebra.Scan{Rel: "R'"}, QueryOptions{}); err == nil {
 		t.Errorf("non-export query must fail")
 	}
-	if _, err := e.med.Query("NOPE", nil, nil); err == nil {
+	if _, err := e.med.Query(algebra.Scan{Rel: "NOPE"}, QueryOptions{}); err == nil {
 		t.Errorf("unknown export must fail")
 	}
-	if _, err := e.med.Query("T", []string{"zz"}, nil); err == nil {
+	if _, err := e.med.Query(algebra.SelectFrom("T", []string{"zz"}, nil), QueryOptions{}); err == nil {
 		t.Errorf("unknown attribute must fail")
 	}
-	if _, err := e.med.QuerySQL("SELECT r1 FROM T JOIN X ON a = b"); err == nil {
-		t.Errorf("join queries are not supported")
+	if _, err := e.med.QuerySQL("SELECT r1 FROM T JOIN X ON a = b", QueryOptions{}); err == nil {
+		t.Errorf("a join with a non-export must fail")
 	}
-	if _, err := e.med.QuerySQL("garbage"); err == nil {
+	if _, err := e.med.QuerySQL("garbage", QueryOptions{}); err == nil {
 		t.Errorf("parse errors propagate")
-	}
-	if _, err := e.med.QuerySQL("SELECT r1 FROM T WHERE s1 = 10 UNION SELECT r1 FROM T"); err == nil {
-		t.Errorf("set-op queries are not supported")
 	}
 }
 
 func TestQuerySQL(t *testing.T) {
 	e := newEnv(t, nil, nil, nil)
-	got, err := e.med.QuerySQL("SELECT r1, s1 FROM T WHERE s1 = 10")
+	got, err := e.med.QuerySQL("SELECT r1, s1 FROM T WHERE s1 = 10", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Card() != 2 {
-		t.Errorf("answer = %s", got)
+	if got.Answer.Card() != 2 || got.Answer.Schema().Name() != "T" {
+		t.Errorf("answer = %s", got.Answer)
 	}
 }
 
@@ -526,7 +522,7 @@ func TestUninitializedOperations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := med.Query("T", nil, nil); err == nil {
+	if _, err := med.Query(algebra.Scan{Rel: "T"}, QueryOptions{}); err == nil {
 		t.Errorf("query before initialize must fail")
 	}
 	if _, err := med.RunUpdateTransaction(); err == nil {
@@ -585,7 +581,7 @@ func TestHybridLeafParentExportQueries(t *testing.T) {
 	}
 	cond := algebra.Lt(algebra.A("r3"), algebra.CInt(100))
 	for _, mode := range []KeyBasedMode{KeyBasedAuto, KeyBasedOff, KeyBasedForce} {
-		res, err := med.QueryOpts("V", []string{"r1", "r3"}, cond, QueryOptions{KeyBased: mode})
+		res, err := med.Query(algebra.SelectFrom("V", []string{"r1", "r3"}, cond), QueryOptions{KeyBased: mode})
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}

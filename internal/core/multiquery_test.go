@@ -67,7 +67,7 @@ func TestQueryExprJoinOverExports(t *testing.T) {
 		R:  algebra.Project{Input: algebra.Scan{Rel: "RV"}, Cols: []string{"r2"}, As: "rr"},
 		On: algebra.Eq(algebra.A("s1"), algebra.A("r2")),
 	}
-	res, err := e.med.QueryExpr(expr, QueryOptions{})
+	res, err := e.med.Query(expr, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestQueryExprWithVirtualExports(t *testing.T) {
 		L: algebra.Project{Input: algebra.Scan{Rel: "T"}, Cols: []string{"r1"}, As: "u1"},
 		R: algebra.Project{Input: algebra.Scan{Rel: "RV"}, Cols: []string{"r1"}, As: "u2"},
 	}
-	res, err := e.med.QueryExpr(expr, QueryOptions{})
+	res, err := e.med.Query(expr, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,20 +112,20 @@ func TestQueryExprWithVirtualExports(t *testing.T) {
 
 func TestQueryExprSQL(t *testing.T) {
 	e := multiExportEnv(t, nil, false)
-	res, err := e.med.QueryExprSQL(`SELECT s1, s2 FROM T WHERE r1 = 1 UNION SELECT r1, r2 FROM RV`)
+	res, err := e.med.QuerySQL(`SELECT s1, s2 FROM T WHERE r1 = 1 UNION SELECT r1, r2 FROM RV`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Answer.Card() == 0 {
 		t.Fatalf("empty answer")
 	}
-	if _, err := e.med.QueryExprSQL("garbage"); err == nil {
+	if _, err := e.med.QuerySQL("garbage", QueryOptions{}); err == nil {
 		t.Errorf("parse errors propagate")
 	}
-	if _, err := e.med.QueryExprSQL("SELECT r1 FROM R"); err == nil {
+	if _, err := e.med.QuerySQL("SELECT r1 FROM R", QueryOptions{}); err == nil {
 		t.Errorf("leaf relations are not exports")
 	}
-	if _, err := e.med.QueryExprSQL("SELECT r1 FROM NOPE"); err == nil {
+	if _, err := e.med.QuerySQL("SELECT r1 FROM NOPE", QueryOptions{}); err == nil {
 		t.Errorf("unknown relation")
 	}
 }
@@ -156,7 +156,7 @@ func TestQueryExprConsistencySoak(t *testing.T) {
 					t.Fatal(err)
 				}
 			default:
-				if _, err := e.med.QueryExpr(expr, QueryOptions{}); err != nil {
+				if _, err := e.med.Query(expr, QueryOptions{}); err != nil {
 					t.Fatal(err)
 				}
 			}

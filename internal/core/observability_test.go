@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/clock"
 	"squirrel/internal/delta"
 	"squirrel/internal/metrics"
@@ -120,7 +121,7 @@ func TestStatsAndMetricsConcurrentWithUpdates(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := e.med.QueryOpts("T", []string{"r1"}, nil, QueryOptions{}); err != nil {
+			if _, err := e.med.Query(algebra.SelectFrom("T", []string{"r1"}, nil), QueryOptions{}); err != nil {
 				t.Errorf("query under load: %v", err)
 				return
 			}

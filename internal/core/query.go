@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"squirrel/internal/algebra"
@@ -13,13 +14,16 @@ import (
 	"squirrel/internal/vdp"
 )
 
-// This file implements the Query Processor (§4, §6.3). Queries take the
-// paper's canonical form π_Attrs σ_Cond (Export). When every referenced
-// attribute is materialized the answer comes straight from a published
-// store version — lock-free, even while an update transaction runs;
-// otherwise the VAP constructs temporary relations against a pinned
-// version — either the standard children-based way or by key-based
-// construction (Example 2.3).
+// This file implements the Query Processor (§4, §6.3). A query is a
+// relational-algebra expression over export relations; π_A σ_f (E) is its
+// one-leaf case. Every π/σ-on-Scan subtree is a leaf, and its requirement
+// (E, A, f) joins §6.3's VAP input set (a bare Scan asks for all of E).
+// When no leaf needs a virtual attribute the answer comes straight from a
+// published store version, lock-free even while an update transaction
+// runs. Otherwise one VAP invocation over every leaf's requirement polls
+// each source at most once against a pinned version, and each virtual
+// leaf chooses on its own between the standard children-based
+// construction and key-based construction (Example 2.3).
 
 // KeyBasedMode selects how the QP uses key-based construction.
 type KeyBasedMode uint8
@@ -91,31 +95,44 @@ type QueryResult struct {
 	BaseReflect clock.Vector
 }
 
-// Query answers π_attrs σ_cond (export) with default options. attrs nil
-// means all attributes of the export relation.
-func (m *Mediator) Query(export string, attrs []string, cond algebra.Expr) (*relation.Relation, error) {
-	res, err := m.QueryOpts(export, attrs, cond, QueryOptions{})
-	if err != nil {
-		return nil, err
+// Query answers a relational-algebra expression over export relations with
+// full consistency metadata. It never takes the update mutex: it pins a
+// published version, coordinating only on the queue lock (for Eager
+// Compensation) when the VAP must poll.
+func (m *Mediator) Query(expr algebra.RelExpr, opts QueryOptions) (*QueryResult, error) {
+	start := time.Now()
+	for i := 0; i < maxEpochRetries; i++ {
+		res, ok, err := m.queryAttempt(expr, opts, start)
+		if err != nil {
+			m.obs.queryErrors.Inc()
+			return nil, err
+		}
+		if ok {
+			res.BaseReflect = m.composeBaseReflect(res.Reflect)
+			return res, nil
+		}
 	}
-	return res.Answer, nil
+	m.obs.queryErrors.Inc()
+	return nil, fmt.Errorf("core: query lost the plan-epoch race %d times", maxEpochRetries)
 }
 
-// QuerySQL answers a query written as `SELECT cols FROM Export WHERE cond`
-// against a single export relation.
-func (m *Mediator) QuerySQL(sql string) (*relation.Relation, error) {
+// QuerySQL answers a SELECT over export relations (joins, UNION and
+// EXCEPT permitted). A one-table block names its answer after its export,
+// as π σ (E) does; any other answer is named "answer".
+func (m *Mediator) QuerySQL(sql string, opts QueryOptions) (*QueryResult, error) {
 	stmt, err := sqlview.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	if stmt.Op != "" {
-		return nil, fmt.Errorf("core: query must be a single SELECT block")
+	name := "answer"
+	if stmt.Op == "" && len(stmt.Left.Tables) == 1 {
+		name = stmt.Left.Tables[0].Rel
 	}
-	sel := stmt.Left
-	if len(sel.Tables) != 1 {
-		return nil, fmt.Errorf("core: queries join nothing; define a view for joins")
+	expr, err := stmt.ToRelExpr(name)
+	if err != nil {
+		return nil, err
 	}
-	return m.Query(sel.Tables[0].Rel, sel.Cols, sel.Where)
+	return m.Query(expr, opts)
 }
 
 // pinFast pins the current version for a purely-materialized query and
@@ -166,63 +183,134 @@ func (m *Mediator) reflectFor(ep *planEpoch, v *store.Version, res *tempResult, 
 // means something is pathologically flip-happy.
 const maxEpochRetries = 64
 
-// QueryOpts answers π_attrs σ_cond (export) under explicit options,
-// returning full consistency metadata. Query transactions never take the
-// update mutex: they pin a published version and read it — lock-free when
-// everything referenced is materialized, coordinating only on the queue
-// lock (for Eager Compensation) when the VAP must poll.
-func (m *Mediator) QueryOpts(export string, attrs []string, cond algebra.Expr, opts QueryOptions) (*QueryResult, error) {
-	start := time.Now()
-	res0, err := m.queryOpts(export, attrs, cond, opts, start)
+// queryLeaf is one σ/π-on-Scan subtree of a query expression: the
+// requirement it puts on its export, the caller's projection and answer
+// name, and — when Example 2.3's construction answers it — the key-based
+// plan.
+type queryLeaf struct {
+	name  string
+	attrs []string
+	cond  algebra.Expr
+	req   vdp.Requirement
+	kb    *vdp.KeyBased
+}
+
+// splitLeaves returns e with every π_A σ_f (Scan E) subtree (either
+// operator optional) replaced by a Scan of its catalog key, appending the
+// leaves to *leaves in evaluation order.
+func splitLeaves(e algebra.RelExpr, leaves *[]queryLeaf) (algebra.RelExpr, error) {
+	var l queryLeaf
+	in := e
+	if p, ok := in.(algebra.Project); ok {
+		l.attrs, l.name, in = p.Cols, p.As, p.Input
+		if l.attrs == nil {
+			l.attrs = []string{} // π over no columns, not "every attribute"
+		}
+	}
+	if s, ok := in.(algebra.Select); ok {
+		l.cond, in = s.Pred, s.Input
+	}
+	if scan, ok := in.(algebra.Scan); ok {
+		l.req.Rel = scan.Rel
+		if l.name == "" {
+			l.name = scan.Rel
+		}
+		*leaves = append(*leaves, l)
+		return algebra.Scan{Rel: strconv.Itoa(len(*leaves) - 1)}, nil
+	}
+	var err error
+	switch x := e.(type) {
+	case algebra.Select:
+		x.Input, err = splitLeaves(x.Input, leaves)
+		return x, err
+	case algebra.Project:
+		x.Input, err = splitLeaves(x.Input, leaves)
+		return x, err
+	case algebra.DistinctOf:
+		x.Input, err = splitLeaves(x.Input, leaves)
+		return x, err
+	case algebra.Join:
+		x.L, x.R, err = splitPair(x.L, x.R, leaves)
+		return x, err
+	case algebra.Union:
+		x.L, x.R, err = splitPair(x.L, x.R, leaves)
+		return x, err
+	case algebra.Diff:
+		x.L, x.R, err = splitPair(x.L, x.R, leaves)
+		return x, err
+	}
+	return nil, fmt.Errorf("core: unsupported query expression %T", e)
+}
+
+func splitPair(l, r algebra.RelExpr, leaves *[]queryLeaf) (algebra.RelExpr, algebra.RelExpr, error) {
+	l, err := splitLeaves(l, leaves)
 	if err != nil {
-		m.obs.queryErrors.Inc()
+		return nil, nil, err
 	}
-	if res0 != nil && err == nil {
-		res0.BaseReflect = m.composeBaseReflect(res0.Reflect)
-	}
-	return res0, err
+	r, err = splitLeaves(r, leaves)
+	return l, r, err
 }
 
-func (m *Mediator) queryOpts(export string, attrs []string, cond algebra.Expr, opts QueryOptions, start time.Time) (*QueryResult, error) {
-	for i := 0; i < maxEpochRetries; i++ {
-		res, ok, err := m.queryOnce(export, attrs, cond, opts, start)
-		if err != nil {
-			return nil, err
+// keyBasedFor returns the key-based plan that answers req under mode, or
+// nil for the standard children-based construction. Auto prefers it only
+// when it polls strictly fewer sources (the paper: "one more choice", not
+// always better).
+func keyBasedFor(pv *vdp.VDP, req vdp.Requirement, mode KeyBasedMode) *vdp.KeyBased {
+	if mode == KeyBasedOff {
+		return nil
+	}
+	kb, ok := pv.KeyBasedPlan(req)
+	if !ok {
+		return nil
+	}
+	if mode == KeyBasedAuto {
+		kbCost := 0
+		if kb.ChildReq.NeedsVirtual(pv) {
+			kbCost = pv.SourcesNeeded(kb.ChildReq)
 		}
-		if ok {
-			return res, nil
+		if kbCost >= pv.SourcesNeeded(req) {
+			return nil
 		}
 	}
-	return nil, fmt.Errorf("core: query lost the plan-epoch race %d times", maxEpochRetries)
+	return kb
 }
 
-// queryOnce runs one attempt of a query transaction against a consistent
-// (epoch, version) pair. It returns ok=false — retry — when a
+// queryAttempt runs one attempt of a query transaction against a
+// consistent (epoch, version) pair. It returns ok=false — retry — when a
 // re-annotation swapped the epoch between the epoch read and the version
-// pin, so the requirement would mix one plan's annotation with another
+// pin, so the requirements would mix one plan's annotation with another
 // plan's store layout.
-func (m *Mediator) queryOnce(export string, attrs []string, cond algebra.Expr, opts QueryOptions, start time.Time) (*QueryResult, bool, error) {
+func (m *Mediator) queryAttempt(expr algebra.RelExpr, opts QueryOptions, start time.Time) (*QueryResult, bool, error) {
 	ep := m.epoch()
 	pv := ep.v
-	n := pv.Node(export)
-	if n == nil || !n.Export {
-		return nil, false, fmt.Errorf("core: %q is not an export relation", export)
-	}
-	if attrs == nil {
-		attrs = n.Schema.AttrNames()
-	}
-	req, err := vdp.NewRequirement(pv, export, attrs, cond)
+	var leaves []queryLeaf
+	top, err := splitLeaves(expr, &leaves)
 	if err != nil {
 		return nil, false, err
 	}
+	virtual := false
+	for i := range leaves {
+		l := &leaves[i]
+		n := pv.Node(l.req.Rel)
+		if n == nil || !n.Export {
+			return nil, false, fmt.Errorf("core: %q is not an export relation", l.req.Rel)
+		}
+		if l.attrs == nil {
+			l.attrs = n.Schema.AttrNames()
+		}
+		req, err := vdp.NewRequirement(pv, l.req.Rel, l.attrs, l.cond)
+		if err != nil {
+			return nil, false, err
+		}
+		l.req = req
+		virtual = virtual || req.NeedsVirtual(pv)
+	}
 
-	var answer *relation.Relation
-	var res *tempResult
 	var v *store.Version
 	var committed clock.Time
+	var res *tempResult
 	usedKeyBased := false
-
-	if !req.NeedsVirtual(pv) {
+	if !virtual {
 		// Fast path: everything materialized. Stamp first (while the
 		// version is provably current), then compute from the immutable
 		// version — the answer is exactly the version's state, so it is
@@ -233,10 +321,6 @@ func (m *Mediator) queryOnce(export string, attrs []string, cond algebra.Expr, o
 		}
 		if m.planFor(v.Seq()) != ep {
 			return nil, false, nil // epoch swapped underneath; retry
-		}
-		answer, err = algebra.SelectProject(v.Rel(export), export, attrs, cond)
-		if err != nil {
-			return nil, false, err
 		}
 	} else {
 		// Polling path: pin the current version so Eager Compensation can
@@ -250,32 +334,45 @@ func (m *Mediator) queryOnce(export string, attrs []string, cond algebra.Expr, o
 		if m.planFor(v.Seq()) != ep {
 			return nil, false, nil // epoch swapped underneath; retry
 		}
-		kb, kbOK := pv.KeyBasedPlan(req)
-		useKB := false
-		switch opts.KeyBased {
-		case KeyBasedForce:
-			useKB = kbOK
-		case KeyBasedAuto:
-			// Prefer key-based when it polls strictly fewer sources (the
-			// paper: "one more choice", not always better).
-			if kbOK {
-				std := pv.SourcesNeeded(req)
-				kbCost := 0
-				if kb.ChildReq.NeedsVirtual(pv) {
-					kbCost = pv.SourcesNeeded(kb.ChildReq)
-				}
-				useKB = kbCost < std
+		// One VAP invocation over every leaf's requirement, so each source
+		// is polled at most once per query.
+		var reqs []vdp.Requirement
+		for i := range leaves {
+			l := &leaves[i]
+			if !l.req.NeedsVirtual(pv) {
+				continue
+			}
+			if l.kb = keyBasedFor(pv, l.req, opts.KeyBased); l.kb == nil {
+				reqs = append(reqs, l.req)
+				continue
+			}
+			usedKeyBased = true
+			if l.kb.ChildReq.NeedsVirtual(pv) {
+				reqs = append(reqs, l.kb.ChildReq)
 			}
 		}
-		if useKB {
-			answer, res, err = m.keyBasedAnswer(ep, v, req, kb, attrs, opts.Degrade)
-			usedKeyBased = true
-		} else {
-			answer, res, err = m.standardAnswer(ep, v, req, attrs, opts.Degrade)
+		if len(reqs) > 0 {
+			plan, err := pv.PlanTemporaries(reqs)
+			if err != nil {
+				return nil, false, err
+			}
+			if res, err = m.buildTemporaries(ep, plan, v, opts.Degrade); err != nil {
+				return nil, false, err
+			}
 		}
-		if err != nil {
+	}
+
+	cat := make(algebra.MapCatalog, len(leaves))
+	for i := range leaves {
+		if cat[strconv.Itoa(i)], err = leafAnswer(pv, v, res, &leaves[i]); err != nil {
 			return nil, false, err
 		}
+	}
+	answer, err := top.Eval(cat)
+	if err != nil {
+		return nil, false, err
+	}
+	if virtual {
 		// Commit after the polls so chronology holds (every ref component,
 		// including poll instants, is ≤ the commit time).
 		committed = m.clk.Now()
@@ -288,41 +385,47 @@ func (m *Mediator) queryOnce(export string, attrs []string, cond algebra.Expr, o
 	// time by Committed − Reflect[src]; refuse when that exceeds the
 	// query's f̄ (Theorem 7.2 as a runtime contract).
 	var staleness clock.Vector
-	if res != nil && len(res.stale) > 0 {
-		staleness = make(clock.Vector, len(res.stale))
-		for src := range res.stale {
-			bound := committed - reflect[src]
-			if bound < 1 {
-				bound = 1
-			}
-			if opts.MaxStaleness > 0 && bound > opts.MaxStaleness {
-				return nil, false, fmt.Errorf("core: source %q is down and the degraded answer would be stale by %d (> max staleness %d)", src, bound, opts.MaxStaleness)
-			}
-			staleness[src] = bound
-		}
-		m.obs.degradedQueries.Inc()
-	}
-
-	m.obs.observeQuery(req.NeedsVirtual(pv), start, committed-v.Stamp())
-	m.obs.noteQuery(export, req.AttrList(pv))
-	if usedKeyBased {
-		m.obs.keyBasedTemps.Inc()
-	}
 	polls := 0
 	if res != nil {
 		polls = res.polls
+		if len(res.stale) > 0 {
+			staleness = make(clock.Vector, len(res.stale))
+			for src := range res.stale {
+				bound := committed - reflect[src]
+				if bound < 1 {
+					bound = 1
+				}
+				if opts.MaxStaleness > 0 && bound > opts.MaxStaleness {
+					return nil, false, fmt.Errorf("core: source %q is down and the degraded answer would be stale by %d (> max staleness %d)", src, bound, opts.MaxStaleness)
+				}
+				staleness[src] = bound
+			}
+			m.obs.degradedQueries.Inc()
+		}
+	}
+
+	m.obs.observeQuery(virtual, start, committed-v.Stamp())
+	for i := range leaves {
+		m.obs.noteQuery(leaves[i].req.Rel, leaves[i].req.AttrList(pv))
+	}
+	if usedKeyBased {
+		m.obs.keyBasedTemps.Inc()
 	}
 	if m.recorder != nil {
-		m.recorder.RecordQuery(trace.QueryTxn{
+		q := trace.QueryTxn{
 			Committed: committed,
 			Reflect:   reflect.Clone(),
-			Export:    export,
-			Attrs:     append([]string(nil), attrs...),
-			Cond:      cond,
 			Answer:    answer.Clone(),
 			Polled:    polls,
 			KeyBased:  usedKeyBased,
-		})
+		}
+		if _, one := top.(algebra.Scan); one {
+			l := leaves[0]
+			q.Export, q.Attrs, q.Cond = l.req.Rel, append([]string(nil), l.attrs...), l.cond
+		} else {
+			q.Multi = expr
+		}
+		m.recorder.RecordQuery(q)
 	}
 	return &QueryResult{
 		Answer:    answer,
@@ -336,74 +439,56 @@ func (m *Mediator) queryOnce(export string, attrs []string, cond algebra.Expr, o
 	}, true, nil
 }
 
-// standardAnswer runs the two-phase VAP (§6.3) against the pinned version
-// and evaluates the query over the constructed temporaries. attrs is the
-// caller's projection — req.Attrs may be wider (closed over condition
-// attributes).
-func (m *Mediator) standardAnswer(ep *planEpoch, v *store.Version, req vdp.Requirement, attrs []string, degrade DegradeMode) (*relation.Relation, *tempResult, error) {
-	plan, err := ep.v.PlanTemporaries([]vdp.Requirement{req})
-	if err != nil {
-		return nil, nil, err
+// leafAnswer computes one leaf's relation: through key-based construction
+// when chosen, else from the leaf's temporary when it needed virtual
+// attributes, else from the pinned version's store.
+func leafAnswer(pv *vdp.VDP, v *store.Version, res *tempResult, l *queryLeaf) (*relation.Relation, error) {
+	if l.kb != nil {
+		return keyBasedLeaf(pv, v, res, l)
 	}
-	res, err := m.buildTemporaries(ep, plan, v, degrade)
-	if err != nil {
-		return nil, nil, err
+	src := v.Rel(l.req.Rel)
+	if l.req.NeedsVirtual(pv) {
+		src = res.temps[l.req.Rel]
+		if src == nil {
+			return nil, fmt.Errorf("core: VAP did not construct a temporary for %q", l.req.Rel)
+		}
 	}
-	top, ok := res.temps[req.Rel]
-	if !ok {
-		return nil, nil, fmt.Errorf("core: VAP did not construct a temporary for %q", req.Rel)
+	if src == nil {
+		return nil, fmt.Errorf("core: no state for export %q", l.req.Rel)
 	}
 	// The temporary may be a superset (merged conditions and closure
 	// attributes); re-apply the condition and project to the caller's list.
-	answer, err := algebra.SelectProject(top, req.Rel, attrs, req.Cond)
-	if err != nil {
-		return nil, nil, err
-	}
-	return answer, res, nil
+	return algebra.SelectProject(src, l.name, l.attrs, l.req.Cond)
 }
 
-// keyBasedAnswer implements the key-based construction of Example 2.3:
+// keyBasedLeaf implements the key-based construction of Example 2.3:
 // join the export's materialized store projection (from the pinned
 // version) with a single child fetch keyed by the child's key.
-func (m *Mediator) keyBasedAnswer(ep *planEpoch, v *store.Version, req vdp.Requirement, kb *vdp.KeyBased, attrs []string, degrade DegradeMode) (*relation.Relation, *tempResult, error) {
-	// Fetch the child portion (recursively through the VAP if the child
-	// itself is virtual).
-	var childRel *relation.Relation
-	res := &tempResult{temps: map[string]*relation.Relation{}, polledAt: map[string]clock.Time{}}
-	if kb.ChildReq.NeedsVirtual(ep.v) {
-		plan, err := ep.v.PlanTemporaries([]vdp.Requirement{kb.ChildReq})
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err = m.buildTemporaries(ep, plan, v, degrade)
-		if err != nil {
-			return nil, nil, err
-		}
-		childRel = res.temps[kb.ChildReq.Rel]
-		if childRel == nil {
-			return nil, nil, fmt.Errorf("core: VAP did not construct the key-based child %q", kb.ChildReq.Rel)
+func keyBasedLeaf(pv *vdp.VDP, v *store.Version, res *tempResult, l *queryLeaf) (*relation.Relation, error) {
+	kb := l.kb
+	var child *relation.Relation
+	if kb.ChildReq.NeedsVirtual(pv) {
+		child = res.temps[kb.ChildReq.Rel]
+		if child == nil {
+			return nil, fmt.Errorf("core: VAP did not construct the key-based child %q", kb.ChildReq.Rel)
 		}
 	} else {
 		var err error
-		childRel, err = algebra.SelectProject(v.Rel(kb.ChildReq.Rel), kb.ChildReq.Rel,
-			kb.ChildReq.AttrList(ep.v), kb.ChildReq.Cond)
+		child, err = algebra.SelectProject(v.Rel(kb.ChildReq.Rel), kb.ChildReq.Rel,
+			kb.ChildReq.AttrList(pv), kb.ChildReq.Cond)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	storePart, err := algebra.SelectProject(v.Rel(kb.Node), kb.Node, kb.StoreAttrs, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	joined, err := joinOnKey(ep.v.Node(kb.Node), storePart, childRel, kb.Key)
+	joined, err := joinOnKey(pv.Node(kb.Node), storePart, child, kb.Key)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	answer, err := algebra.SelectProject(joined, kb.Node, attrs, req.Cond)
-	if err != nil {
-		return nil, nil, err
-	}
-	return answer, res, nil
+	return algebra.SelectProject(joined, l.name, l.attrs, l.req.Cond)
 }
 
 // joinOnKey joins the store projection with the child fetch on the child's

@@ -53,7 +53,7 @@ func BenchmarkQueryFastPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lo := int64(1 + (i*7919)%19800)
 		cond := algebra.Conj(algebra.Ge(algebra.A("r1"), algebra.CInt(lo)), algebra.Lt(algebra.A("r1"), algebra.CInt(lo+200)))
-		if _, err := med.Query("T", attrs, cond); err != nil {
+		if _, err := med.Query(algebra.SelectFrom("T", attrs, cond), QueryOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

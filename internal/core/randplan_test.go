@@ -230,6 +230,22 @@ func randomAnn(rng *rand.Rand, s *relation.Schema) vdp.Annotation {
 	return ann
 }
 
+// randomCond draws a query condition over the schema's attributes: nil a
+// third of the time, else one or two comparisons against small constants.
+func randomCond(rng *rand.Rand, s *relation.Schema) algebra.Expr {
+	if rng.Intn(3) == 0 {
+		return nil
+	}
+	attrs := s.AttrNames()
+	var terms []algebra.Expr
+	for i := 0; i < 1+rng.Intn(2); i++ {
+		a, c := algebra.A(attrs[rng.Intn(len(attrs))]), algebra.CInt(rng.Int63n(50))
+		terms = append(terms, []func(l, r algebra.Expr) algebra.Expr{
+			algebra.Lt, algebra.Ge, algebra.Eq, algebra.Ne}[rng.Intn(4)](a, c))
+	}
+	return algebra.Conj(terms...)
+}
+
 // randomLeafCommit applies a random non-redundant transaction to one leaf.
 func (rp *randPlan) randomLeafCommit(t *testing.T, rng *rand.Rand) {
 	t.Helper()
@@ -308,8 +324,9 @@ func (rp *randPlan) checkStores(t *testing.T) {
 }
 
 // TestRandomPlansSoak is the flagship randomized test: 120 random plans,
-// each driven by a random interleaving, each checked for store
-// correctness and trace consistency.
+// each driven by a random interleaving of commits, update transactions
+// and π σ queries (random attributes, condition and key-based mode), each
+// checked for store correctness and trace consistency.
 func TestRandomPlansSoak(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
 		seed := seed
@@ -331,7 +348,8 @@ func TestRandomPlansSoak(t *testing.T) {
 						attrs = attrs[:1+rng.Intn(len(attrs)-1)]
 					}
 					mode := []KeyBasedMode{KeyBasedAuto, KeyBasedOff, KeyBasedForce}[rng.Intn(3)]
-					if _, err := rp.med.QueryOpts(rp.export, attrs, nil, QueryOptions{KeyBased: mode}); err != nil {
+					cond := randomCond(rng, n.Schema)
+					if _, err := rp.med.Query(algebra.SelectFrom(rp.export, attrs, cond), QueryOptions{KeyBased: mode}); err != nil {
 						t.Fatalf("step %d query: %v\nplan:\n%s", step, err, rp.plan)
 					}
 				}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/delta"
 	"squirrel/internal/relation"
 	"squirrel/internal/vdp"
@@ -13,7 +14,7 @@ import (
 // evaluation of the current source states.
 func queryTruth(t *testing.T, e *testEnv) {
 	t.Helper()
-	res, err := e.med.QueryOpts("T", nil, nil, QueryOptions{KeyBased: KeyBasedOff})
+	res, err := e.med.Query(algebra.SelectFrom("T", nil, nil), QueryOptions{KeyBased: KeyBasedOff})
 	if err != nil {
 		t.Fatal(err)
 	}

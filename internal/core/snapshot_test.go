@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/clock"
 	"squirrel/internal/delta"
 	"squirrel/internal/relation"
@@ -72,7 +73,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("restored mediator diverged:\n%swant\n%s", got, truth["T"])
 	}
 	// Queries work and report sane reflect vectors.
-	res, err := med2.QueryOpts("T", []string{"r1", "s1"}, nil, QueryOptions{})
+	res, err := med2.Query(algebra.SelectFrom("T", []string{"r1", "s1"}, nil), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestSnapshotHybridStores(t *testing.T) {
 		t.Errorf("hybrid snapshot should hold the materialized projection: %s", snap.Store["T"].Schema())
 	}
 	med2 := restoreEnv(t, e, snap)
-	res, err := med2.QueryOpts("T", []string{"r1", "s1"}, nil, QueryOptions{})
+	res, err := med2.Query(algebra.SelectFrom("T", []string{"r1", "s1"}, nil), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

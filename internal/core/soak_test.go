@@ -107,7 +107,7 @@ func TestMediatorSoak(t *testing.T) {
 						// Random query across materialized and virtual attrs.
 						attrs := [][]string{{"r1", "s1"}, {"r1", "r3"}, {"s1", "s2"}, nil}[rng.Intn(4)]
 						mode := []KeyBasedMode{KeyBasedAuto, KeyBasedOff, KeyBasedForce}[rng.Intn(3)]
-						if _, err := e.med.QueryOpts("T", attrs, nil, QueryOptions{KeyBased: mode}); err != nil {
+						if _, err := e.med.Query(algebra.SelectFrom("T", attrs, nil), QueryOptions{KeyBased: mode}); err != nil {
 							t.Fatalf("seed %d step %d: query: %v", seed, step, err)
 						}
 					}
@@ -142,7 +142,7 @@ func TestMediatorSoak(t *testing.T) {
 					}
 				}
 				// Queries after the drain agree with ground truth too.
-				res, err := e.med.QueryOpts("T", nil, nil, QueryOptions{})
+				res, err := e.med.Query(algebra.SelectFrom("T", nil, nil), QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,7 +162,7 @@ func TestSoakStatsSanity(t *testing.T) {
 	d.Insert("R", relation.T(99, 10, 1, 100))
 	e.db1.MustApply(d)
 	e.med.RunUpdateTransaction()
-	e.med.Query("T", nil, nil)
+	e.med.Query(algebra.Scan{Rel: "T"}, QueryOptions{})
 	s := e.med.Stats()
 	if s.UpdateTxns != 1 || s.QueryTxns != 1 {
 		t.Errorf("stats: %+v", s)

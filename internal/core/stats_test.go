@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/clock"
 	"squirrel/internal/delta"
 	"squirrel/internal/metrics"
@@ -378,16 +379,16 @@ func TestStatsReadTheRegistry(t *testing.T) {
 	drain()
 	recvAll(coalescing)
 
-	// Queries: a key-based one, a QueryExpr, and a polling one that
+	// Queries: a key-based one, a SQL one, and a polling one that
 	// leaves db2's answer in the ServeStale cache.
-	if res, err := med.QueryOpts("T", []string{"r3", "s1"}, nil, QueryOptions{KeyBased: KeyBasedForce}); err != nil || !res.KeyBased {
+	if res, err := med.Query(algebra.SelectFrom("T", []string{"r3", "s1"}, nil), QueryOptions{KeyBased: KeyBasedForce}); err != nil || !res.KeyBased {
 		t.Fatalf("key-based query: %v (res %+v)", err, res)
 	}
-	if _, err := med.QueryExprSQL("SELECT r1 FROM TM"); err != nil {
+	if _, err := med.QuerySQL("SELECT r1 FROM TM", QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	tQuery := func(degrade DegradeMode) (*QueryResult, error) {
-		return med.QueryOpts("T", []string{"r1", "s2"}, nil, QueryOptions{KeyBased: KeyBasedOff, Degrade: degrade})
+		return med.Query(algebra.SelectFrom("T", []string{"r1", "s2"}, nil), QueryOptions{KeyBased: KeyBasedOff, Degrade: degrade})
 	}
 	if _, err := tQuery(FailFast); err != nil {
 		t.Fatal(err)
@@ -531,17 +532,18 @@ func TestQueueGaugeFollowsQueue(t *testing.T) {
 	check(restored, "Restore", 0)
 }
 
-// TestQueryExprObserved: QueryExpr transactions land in the same query
-// instruments as QueryOpts — latency by path, version age, and errors.
+// TestQueryExprObserved: SQL query transactions land in the query
+// instruments — latency by path, version age, and errors. Only a leaf
+// that reads a virtual attribute (T.s2) takes the polling path.
 func TestQueryExprObserved(t *testing.T) {
 	e := multiExportEnv(t, vdp.Ann([]string{"r1", "r3", "s1"}, []string{"s2"}), false)
-	if _, err := e.med.QueryExprSQL("SELECT r1 FROM RV"); err != nil {
+	if _, err := e.med.QuerySQL("SELECT r1 FROM RV", QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.med.QueryExprSQL("SELECT r1 FROM T"); err != nil {
+	if _, err := e.med.QuerySQL("SELECT r1, s2 FROM T", QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.med.QueryExprSQL("SELECT r1 FROM R"); err == nil {
+	if _, err := e.med.QuerySQL("SELECT r1 FROM R", QueryOptions{}); err == nil {
 		t.Fatal("a query over a non-export must fail")
 	}
 	snap := e.med.MetricsSnapshot()

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/checker"
 	"squirrel/internal/clock"
 	"squirrel/internal/delta"
@@ -14,7 +15,7 @@ import (
 )
 
 // This file soaks the versioned store's concurrency contract: many reader
-// goroutines hammer QueryOpts / QueryExprSQL / StoreSnapshot / Stats /
+// goroutines hammer Query / QuerySQL / StoreSnapshot / Stats /
 // Snapshot while RunUpdateTransaction churns, and every answer is checked
 // against a from-scratch evaluation of the leaf states its Reflect vector
 // names — the per-query validity half of the §3 consistency definition,
@@ -116,7 +117,7 @@ func TestVersionedStoreConcurrentValidity(t *testing.T) {
 					defer rwg.Done()
 					lastVersion := uint64(0)
 					for i := 0; i < queries; i++ {
-						res, err := e.med.QueryOpts("T", cfg.attrs, nil, QueryOptions{KeyBased: KeyBasedOff})
+						res, err := e.med.Query(algebra.SelectFrom("T", cfg.attrs, nil), QueryOptions{KeyBased: KeyBasedOff})
 						if err != nil {
 							t.Error(err)
 							return
@@ -148,7 +149,7 @@ func TestVersionedStoreConcurrentValidity(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						if mres, err := e.med.QueryExprSQL("SELECT r1, s1 FROM T WHERE s1 = 10"); err != nil {
+						if mres, err := e.med.QuerySQL("SELECT r1, s1 FROM T WHERE s1 = 10", QueryOptions{}); err != nil {
 							t.Error(err)
 							return
 						} else if mres.Version == 0 {
@@ -240,7 +241,7 @@ func TestVersionCounters(t *testing.T) {
 	if v == nil || v.Seq() != 2 {
 		t.Fatalf("CurrentVersion: %+v", v)
 	}
-	res, err := e.med.QueryOpts("T", []string{"r1"}, nil, QueryOptions{})
+	res, err := e.med.Query(algebra.SelectFrom("T", []string{"r1"}, nil), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

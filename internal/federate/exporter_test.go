@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/clock"
 	"squirrel/internal/core"
 	"squirrel/internal/delta"
@@ -197,7 +198,7 @@ func TestExporterBarrierQuarantinesUpstream(t *testing.T) {
 		t.Fatalf("post-barrier query: %v", err)
 	}
 	// Polls of the quarantined tier must fail until the resync.
-	if _, err := up.Query("T", nil, nil); err == nil ||
+	if _, err := up.Query(algebra.Scan{Rel: "T"}, core.QueryOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "quarantined") {
 		// Fully materialized T answers from the store without polling;
 		// the quarantine shows on the update path instead. Accept both.

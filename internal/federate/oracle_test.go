@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/clock"
 	"squirrel/internal/core"
 	"squirrel/internal/delta"
@@ -243,11 +244,11 @@ func vecEqual(a, b clock.Vector) bool {
 // wantVec=false and rely on the answer comparison alone.
 func compareTiers(t *testing.T, flat, top *core.Mediator, where string, wantVec bool) {
 	t.Helper()
-	chained, err := top.QueryOpts("T", nil, nil, core.QueryOptions{})
+	chained, err := top.Query(algebra.SelectFrom("T", nil, nil), core.QueryOptions{})
 	if err != nil {
 		t.Fatalf("%s: chained query: %v", where, err)
 	}
-	ref, err := flat.QueryOpts("T", nil, nil, core.QueryOptions{})
+	ref, err := flat.Query(algebra.SelectFrom("T", nil, nil), core.QueryOptions{})
 	if err != nil {
 		t.Fatalf("%s: flat query: %v", where, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/clock"
 	"squirrel/internal/core"
 	"squirrel/internal/delta"
@@ -76,7 +77,7 @@ func TestExporterOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTxn(t, up)
-	res, err := up.QueryOpts("T", nil, nil, core.QueryOptions{})
+	res, err := up.Query(algebra.SelectFrom("T", nil, nil), core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

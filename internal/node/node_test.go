@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/checker"
 	"squirrel/internal/clock"
 	"squirrel/internal/core"
@@ -247,7 +248,7 @@ func TestLifecycle(t *testing.T) {
 			wg.Wait()
 			r.settle(t, med)
 
-			if _, err := med.Query("T", nil, nil); err != nil {
+			if _, err := med.Query(algebra.Scan{Rel: "T"}, core.QueryOptions{}); err != nil {
 				t.Fatal(err)
 			}
 			env := checker.Environment{VDP: med.VDP(), Sources: r.dbs, Trace: rec}

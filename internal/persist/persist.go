@@ -138,10 +138,46 @@ func Load(r io.Reader) (*core.StateSnapshot, error) {
 	}
 	for name, wr := range env.Store {
 		rel, err := wr.Decode()
+		if err == nil {
+			err = conforms(rel, len(wr.Counts))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("persist: store %q: %w", name, err)
 		}
 		snap.Store[name] = rel
 	}
 	return snap, nil
+}
+
+// conforms rejects a decoded store its own schema forbids: a value whose
+// kind is not its attribute's (NULL aside), or a keyed relation holding
+// one key twice. rows is the payload's row count, which decoding a set
+// silently merges when rows repeat.
+func conforms(rel *relation.Relation, rows int) error {
+	s := rel.Schema()
+	attrs := s.Attrs()
+	keyPos, _ := s.Positions(s.KeyAttrs())
+	keys := make(map[string]bool)
+	var err error
+	rel.Each(func(t relation.Tuple, n int) bool {
+		for i, v := range t {
+			if !v.IsNull() && v.Kind() != attrs[i].Type {
+				err = fmt.Errorf("attribute %q is %s but holds the %s %s", attrs[i].Name, attrs[i].Type, v.Kind(), v)
+				return false
+			}
+		}
+		if len(keyPos) > 0 {
+			k := t.KeyOn(keyPos)
+			if n > 1 || keys[k] {
+				err = fmt.Errorf("key %v holds %s more than once", s.KeyAttrs(), t.Project(keyPos))
+				return false
+			}
+			keys[k] = true
+		}
+		return true
+	})
+	if err == nil && len(keyPos) > 0 && rel.Len() != rows {
+		err = fmt.Errorf("key %v: %d rows collapse to %d tuples", s.KeyAttrs(), rows, rel.Len())
+	}
+	return err
 }

@@ -127,6 +127,33 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
+// schemaViolations are checkpoint payloads that decode column by column
+// but break their own schema; testdata/fuzz/FuzzCheckpointLoad seeds
+// the fuzzer with the same inputs.
+var schemaViolations = []struct{ name, payload, attr string }{
+	{"string in an int attribute",
+		`{"version": 3, "store": {"T": {"schema": {"name": "T", "attrs": [{"name": "a", "type": "int"}, {"name": "b", "type": "string"}]}, "sem": "bag", "cols": [{"kind": "string", "s": ["q"]}, {"kind": "string", "s": ["x"]}], "counts": [1]}}}`,
+		`"a"`},
+	{"key repeated across set rows",
+		`{"version": 3, "store": {"T": {"schema": {"name": "T", "attrs": [{"name": "a", "type": "int"}], "key": ["a"]}, "sem": "set", "cols": [{"kind": "int", "i": [1, 1]}], "counts": [1, 1]}}}`,
+		`[a]`},
+	{"key with count two",
+		`{"version": 3, "store": {"T": {"schema": {"name": "T", "attrs": [{"name": "a", "type": "int"}], "key": ["a"]}, "sem": "bag", "cols": [{"kind": "int", "i": [1]}], "counts": [2]}}}`,
+		`[a]`},
+	{"key shared by two tuples",
+		`{"version": 3, "store": {"T": {"schema": {"name": "T", "attrs": [{"name": "a", "type": "int"}, {"name": "b", "type": "string"}], "key": ["a"]}, "sem": "set", "cols": [{"kind": "int", "i": [1, 1]}, {"kind": "string", "s": ["x", "y"]}], "counts": [1, 1]}}}`,
+		`[a]`},
+}
+
+func TestLoadRejectsSchemaViolations(t *testing.T) {
+	for _, c := range schemaViolations {
+		_, err := Load(strings.NewReader(frame(c.payload)))
+		if err == nil || !strings.Contains(err.Error(), `store "T"`) || !strings.Contains(err.Error(), c.attr) {
+			t.Errorf("%s: err = %v, want one naming store \"T\" and %s", c.name, err, c.attr)
+		}
+	}
+}
+
 func TestEmptyVectorDefaults(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Save(&buf, &core.StateSnapshot{Store: map[string]*relation.Relation{}}); err != nil {

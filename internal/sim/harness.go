@@ -461,7 +461,7 @@ func (h *Harness) ScheduleCommit(t clock.Time, src string, build func() *delta.D
 // scheduled event wrap it in Exclusive.
 func (h *Harness) Query(export string, attrs []string, cond algebra.Expr, opts core.QueryOptions) (*core.QueryResult, error) {
 	h.Sim.AdvanceBy(h.Delay.QProcMed)
-	res, err := h.Top.QueryOpts(export, attrs, cond, opts)
+	res, err := h.Top.Query(algebra.SelectFrom(export, attrs, cond), opts)
 	if err == nil && len(h.Tiers) > 0 {
 		h.Rec.RecordQuery(trace.QueryTxn{
 			Committed: res.Committed, Reflect: res.BaseReflect,

@@ -227,8 +227,8 @@ func TestTieredHarnessTierCrashQuarantines(t *testing.T) {
 	}
 }
 
-// TestQueryExprStampsBaseReflect: a multi-export query (QueryExpr)
-// stamps the same BaseReflect a single-export query composes from the
+// TestQueryExprStampsBaseReflect: a query over an expression of several
+// leaves stamps the same BaseReflect a one-leaf query composes from the
 // same Reflect — leaf coordinates behind a tier, Reflect itself with no
 // tier.
 func TestQueryExprStampsBaseReflect(t *testing.T) {
@@ -281,17 +281,17 @@ func TestQueryExprStampsBaseReflect(t *testing.T) {
 		var one, multi *core.QueryResult
 		var errExpr error
 		h.Exclusive(func() {
-			one, err = h.Top.QueryOpts("T", nil, nil, core.QueryOptions{})
-			multi, errExpr = h.Top.QueryExpr(algebra.Scan{Rel: "T"}, core.QueryOptions{})
+			one, err = h.Top.Query(algebra.SelectFrom("T", nil, nil), core.QueryOptions{})
+			multi, errExpr = h.Top.Query(algebra.Union{L: algebra.Scan{Rel: "T"}, R: algebra.Scan{Rel: "T"}}, core.QueryOptions{})
 		})
 		if err != nil || errExpr != nil {
 			t.Fatal(err, errExpr)
 		}
 		if multi.BaseReflect == nil {
-			t.Fatalf("tiers=%d: QueryExpr left BaseReflect nil (Reflect %v)", len(h.Tiers), multi.Reflect)
+			t.Fatalf("tiers=%d: the union left BaseReflect nil (Reflect %v)", len(h.Tiers), multi.Reflect)
 		}
 		if !reflect.DeepEqual(multi.Reflect, one.Reflect) || !reflect.DeepEqual(multi.BaseReflect, one.BaseReflect) {
-			t.Fatalf("tiers=%d: QueryExpr reflect=%v base=%v, QueryOpts reflect=%v base=%v",
+			t.Fatalf("tiers=%d: union reflect=%v base=%v, one-leaf reflect=%v base=%v",
 				len(h.Tiers), multi.Reflect, multi.BaseReflect, one.Reflect, one.BaseReflect)
 		}
 		if multi.BaseReflect["db1"] < committed {

@@ -168,7 +168,7 @@ func (s *MediatorServer) serveConn(conn net.Conn) {
 			if m.Degrade == "stale" {
 				opts.Degrade = core.ServeStale
 			}
-			res, err := s.med.QueryOpts(m.Specs[0].Rel, m.Specs[0].Attrs, cond, opts)
+			res, err := s.med.Query(algebra.SelectFrom(m.Specs[0].Rel, m.Specs[0].Attrs, cond), opts)
 			if err != nil {
 				if !send(Message{Type: "error", ID: m.ID, Error: err.Error()}) {
 					return

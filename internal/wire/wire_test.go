@@ -475,10 +475,11 @@ func TestMediatorOverWire(t *testing.T) {
 	if err := med.Initialize(); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := med.Query("V", nil, nil)
+	res, err := med.Query(algebra.Scan{Rel: "V"}, core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ans := res.Answer
 	if ans.Card() != 1 || !ans.Contains(relation.T(1, 7)) {
 		t.Fatalf("initial view: %s", ans)
 	}
@@ -498,10 +499,11 @@ func TestMediatorOverWire(t *testing.T) {
 	if _, err := med.RunUpdateTransaction(); err != nil {
 		t.Fatal(err)
 	}
-	ans2, err := med.Query("V", nil, nil)
+	res, err = med.Query(algebra.Scan{Rel: "V"}, core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ans2 := res.Answer
 	if ans2.Card() != 2 || !ans2.Contains(relation.T(2, 9)) {
 		t.Fatalf("view after remote commit: %s", ans2)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"squirrel/internal/algebra"
 	"squirrel/internal/core"
 	"squirrel/internal/node"
 	"squirrel/internal/relation"
@@ -285,27 +286,14 @@ func (s *System) SyncAll() error {
 	}
 }
 
-// Query answers a SELECT against the integrated view. Single-relation
-// queries (`SELECT cols FROM Export WHERE cond`) go through the paper's
-// π_A σ_f query processor with key-based optimization; queries that join
-// several exports or combine them with UNION/EXCEPT go through the
-// multi-export path (§6.3's set-of-triples form).
+// Query answers a SELECT against the integrated view: π_A σ_f over one
+// export (with key-based optimization), or a join, UNION or EXCEPT of
+// several (§6.3's set-of-triples form).
 func (s *System) Query(sql string) (*Relation, error) {
 	if !s.started {
 		return nil, fmt.Errorf("squirrel: not started")
 	}
-	stmt, err := sqlview.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	if stmt.Op == "" && len(stmt.Left.Tables) == 1 {
-		return s.med.Query(stmt.Left.Tables[0].Rel, stmt.Left.Cols, stmt.Left.Where)
-	}
-	expr, err := stmt.ToRelExpr("answer")
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.med.QueryExpr(expr, QueryOptions{})
+	res, err := s.med.QuerySQL(sql, QueryOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +306,7 @@ func (s *System) QueryExport(export string, attrs []string, cond Expr, opts Quer
 	if !s.started {
 		return nil, fmt.Errorf("squirrel: not started")
 	}
-	return s.med.QueryOpts(export, attrs, cond, opts)
+	return s.med.Query(algebra.SelectFrom(export, attrs, cond), opts)
 }
 
 // ParseCondition parses a textual predicate (e.g. "total > 100 AND
