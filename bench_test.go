@@ -124,8 +124,8 @@ func BenchmarkE1RecomputeBaseline(b *testing.B) {
 		b.Run(fmt.Sprintf("R=%d", n), func(b *testing.B) {
 			sys := benchSystem(b, n, n/2, "materialized")
 			plan := sys.Plan()
-			db1 := sys.MustSource("db1").DB()
-			db2 := sys.MustSource("db2").DB()
+			db1 := squirrel.SourceDBOf(sys.MustSource("db1"))
+			db2 := squirrel.SourceDBOf(sys.MustSource("db2"))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r, _ := db1.Current("R")
@@ -550,11 +550,11 @@ func BenchmarkE13JoinStrategies(b *testing.B) {
 // benchMediatorE15 assembles the running example around a RAW mediator
 // (no trace recorder — recording clones every answer, which would swamp a
 // throughput benchmark) for the concurrent-read experiment.
-func benchMediatorE15(b *testing.B, nR, nS int, cfg string) (*squirrel.Mediator, *squirrel.SourceDB, *squirrel.SourceDB) {
+func benchMediatorE15(b *testing.B, nR, nS int, cfg string) (*squirrel.Mediator, *source.DB, *source.DB) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(15))
-	clk := &squirrel.LogicalClock{}
-	db1 := squirrel.NewSourceDB("db1", clk)
+	clk := &clock.Logical{}
+	db1 := source.NewDB("db1", clk)
 	r := squirrel.NewRelation(squirrel.MustSchema("R", []squirrel.Attribute{
 		{Name: "r1", Type: squirrel.KindInt}, {Name: "r2", Type: squirrel.KindInt},
 		{Name: "r3", Type: squirrel.KindInt}, {Name: "r4", Type: squirrel.KindInt}}, "r1"),
@@ -569,7 +569,7 @@ func benchMediatorE15(b *testing.B, nR, nS int, cfg string) (*squirrel.Mediator,
 	if err := db1.LoadRelation(r); err != nil {
 		b.Fatal(err)
 	}
-	db2 := squirrel.NewSourceDB("db2", clk)
+	db2 := source.NewDB("db2", clk)
 	s := squirrel.NewRelation(squirrel.MustSchema("S", []squirrel.Attribute{
 		{Name: "s1", Type: squirrel.KindInt}, {Name: "s2", Type: squirrel.KindInt},
 		{Name: "s3", Type: squirrel.KindInt}}, "s1"), squirrel.Set)
@@ -579,7 +579,7 @@ func benchMediatorE15(b *testing.B, nR, nS int, cfg string) (*squirrel.Mediator,
 	if err := db2.LoadRelation(s); err != nil {
 		b.Fatal(err)
 	}
-	builder := squirrel.NewVDPBuilder()
+	builder := vdp.NewBuilder()
 	if err := builder.AddSource("db1", r.Schema()); err != nil {
 		b.Fatal(err)
 	}
@@ -607,17 +607,17 @@ func benchMediatorE15(b *testing.B, nR, nS int, cfg string) (*squirrel.Mediator,
 	if err != nil {
 		b.Fatal(err)
 	}
-	med, err := squirrel.NewMediator(squirrel.MediatorConfig{
+	med, err := core.New(core.Config{
 		VDP: plan,
 		Sources: map[string]squirrel.SourceConn{
-			"db1": squirrel.LocalConn(db1), "db2": squirrel.LocalConn(db2)},
+			"db1": core.LocalSource{DB: db1}, "db2": core.LocalSource{DB: db2}},
 		Clock: clk,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	squirrel.ConnectLocal(med, db1)
-	squirrel.ConnectLocal(med, db2)
+	core.ConnectLocal(med, db1)
+	core.ConnectLocal(med, db2)
 	if err := med.Initialize(); err != nil {
 		b.Fatal(err)
 	}
@@ -726,17 +726,17 @@ func BenchmarkE15ConcurrentReads(b *testing.B) {
 // T{i} after an R commit forces an Eager-Compensated poll of pol{i}.
 // Update-transaction latency is then dominated by the `units` polls, which
 // the VAP issues concurrently, one goroutine per polled source.
-func benchWidePropagationMediator(b *testing.B, units int, latency time.Duration) (*squirrel.Mediator, *squirrel.SourceDB) {
+func benchWidePropagationMediator(b *testing.B, units int, latency time.Duration) (*squirrel.Mediator, *source.DB) {
 	b.Helper()
-	clk := &squirrel.LogicalClock{}
+	clk := &clock.Logical{}
 	rng := rand.New(rand.NewSource(7))
-	builder := squirrel.NewVDPBuilder()
+	builder := vdp.NewBuilder()
 	inj := squirrel.NewFaultInjector(7)
 	conns := map[string]squirrel.SourceConn{}
 
-	upd := squirrel.NewSourceDB("upd", clk)
-	conns["upd"] = squirrel.LocalConn(upd)
-	var polls []*squirrel.SourceDB
+	upd := source.NewDB("upd", clk)
+	conns["upd"] = core.LocalSource{DB: upd}
+	var polls []*source.DB
 	for i := 0; i < units; i++ {
 		rs := squirrel.MustSchema(fmt.Sprintf("R%d", i), []squirrel.Attribute{
 			{Name: fmt.Sprintf("ra%d", i), Type: squirrel.KindInt},
@@ -754,7 +754,7 @@ func benchWidePropagationMediator(b *testing.B, units int, latency time.Duration
 		}
 
 		src := fmt.Sprintf("pol%d", i)
-		db := squirrel.NewSourceDB(src, clk)
+		db := source.NewDB(src, clk)
 		ss := squirrel.MustSchema(fmt.Sprintf("S%d", i), []squirrel.Attribute{
 			{Name: fmt.Sprintf("sa%d", i), Type: squirrel.KindInt},
 			{Name: fmt.Sprintf("sb%d", i), Type: squirrel.KindInt}}, fmt.Sprintf("sa%d", i))
@@ -769,7 +769,7 @@ func benchWidePropagationMediator(b *testing.B, units int, latency time.Duration
 			b.Fatal(err)
 		}
 		polls = append(polls, db)
-		conns[src] = squirrel.WrapChaos(squirrel.LocalConn(db), inj)
+		conns[src] = squirrel.WrapChaos(core.LocalSource{DB: db}, inj)
 
 		if err := builder.AddViewSQL(fmt.Sprintf("T%d", i),
 			fmt.Sprintf("SELECT ra%d, rc%d, sa%d, sb%d FROM R%d JOIN S%d ON rb%d = sa%d",
@@ -786,15 +786,15 @@ func benchWidePropagationMediator(b *testing.B, units int, latency time.Duration
 	if err != nil {
 		b.Fatal(err)
 	}
-	med, err := squirrel.NewMediator(squirrel.MediatorConfig{
+	med, err := core.New(core.Config{
 		VDP: plan, Sources: conns, Clock: clk,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	squirrel.ConnectLocal(med, upd)
+	core.ConnectLocal(med, upd)
 	for _, db := range polls {
-		squirrel.ConnectLocal(med, db)
+		core.ConnectLocal(med, db)
 	}
 	if err := med.Initialize(); err != nil {
 		b.Fatal(err)

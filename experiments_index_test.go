@@ -13,7 +13,7 @@ var (
 	artifactRe  = regexp.MustCompile(`(Example|Theorem|Remark) \d\.\d|Fig\. \d`)
 	specPathRe  = regexp.MustCompile("`(testdata/scenarios/[A-Za-z0-9_.-]+\\.yaml)`")
 	testNameRe  = regexp.MustCompile("`((?:Test|Benchmark)[A-Za-z0-9_]+)`")
-	testFuncsRe = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark)[A-Za-z0-9_]+)\(`)
+	testFuncsRe = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]+)\(`)
 )
 
 // TestExperimentsIndex keeps EXPERIMENTS.md in step with the paper and the
@@ -48,6 +48,18 @@ func TestExperimentsIndex(t *testing.T) {
 		}
 	}
 
+	funcs := testFuncs(t)
+	for _, m := range testNameRe.FindAllStringSubmatch(index, -1) {
+		if !funcs[m[1]] {
+			t.Errorf("EXPERIMENTS.md names %s, which is no func in any _test.go", m[1])
+		}
+	}
+}
+
+// testFuncs collects the Test*, Benchmark* and Fuzz* funcs declared in
+// the repository's _test.go files.
+func testFuncs(t *testing.T) map[string]bool {
+	t.Helper()
 	funcs := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -71,11 +83,7 @@ func TestExperimentsIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range testNameRe.FindAllStringSubmatch(index, -1) {
-		if !funcs[m[1]] {
-			t.Errorf("EXPERIMENTS.md names %s, which is no func in any _test.go", m[1])
-		}
-	}
+	return funcs
 }
 
 func readDoc(t *testing.T, name string) string {

@@ -42,7 +42,7 @@ func differentialTranscript(t *testing.T, seed int64, workers int) []string {
 func observedTranscript(t *testing.T, seed int64, workers int, afterTxn func(rp *randPlan)) []string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	rp := buildRandomPlanWorkers(t, rng, workers)
+	rp := buildRandomPlanWith(t, rng, randPlanOpts{workers: workers})
 	var tr []string
 	record := func(format string, args ...any) {
 		tr = append(tr, fmt.Sprintf(format, args...))

@@ -36,8 +36,8 @@ type ResilienceConfig struct {
 	Retry resilience.RetryPolicy
 	// Breaker configures the per-source circuit breaker.
 	Breaker resilience.BreakerPolicy
-	// Seed makes the retry jitter deterministic (0 = seed from source
-	// names only, still deterministic).
+	// Seed makes the retry jitter deterministic: the i-th source in name
+	// order draws from Seed+i.
 	Seed int64
 }
 
@@ -50,14 +50,11 @@ type sourceHealth struct {
 // initHealth builds the per-source health state; called from New.
 func (m *Mediator) initHealth() {
 	m.health = make(map[string]*sourceHealth, len(m.sources))
-	seed := m.resil.Seed
-	var i int64
-	for src := range m.sources {
+	for i, src := range m.sourceNames() {
 		m.health[src] = &sourceHealth{
 			breaker: resilience.NewBreaker(m.resil.Breaker),
-			backoff: resilience.NewBackoff(m.resil.Retry, seed+i),
+			backoff: resilience.NewBackoff(m.resil.Retry, m.resil.Seed+int64(i)),
 		}
-		i++
 	}
 	if m.sleep == nil {
 		m.sleep = time.Sleep
@@ -208,9 +205,20 @@ func (m *Mediator) quarantineLocked(src, reason string) {
 		return
 	}
 	m.quarantined[src] = reason
-	m.obs.gapsDetected.Inc()
 	m.obs.reg.Emit(metrics.Event{Type: metrics.EventQuarantine, Subject: src, Err: reason})
 	m.signalAnnounce()
+}
+
+// sourceNames lists the connected sources, sorted: every loop whose
+// order reaches a clock or a seed runs in this order, so twin mediators
+// behave alike.
+func (m *Mediator) sourceNames() []string {
+	names := make([]string, 0, len(m.sources))
+	for src := range m.sources {
+		names = append(names, src)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // QuarantinedSources lists the currently quarantined sources, sorted.

@@ -115,8 +115,9 @@ type Stats struct {
 	VersionsPublished uint64
 	// Fault-boundary counters (see health.go): failed poll attempts,
 	// retries after them, polls fast-failed by an open breaker, queries
-	// answered from stale cached polls, announcement gaps detected
-	// (including proactive quarantines), and resyncs completed.
+	// answered from stale cached polls, announcement sequence holes
+	// detected (lost announcements only: a barrier, reconnect or recovery
+	// quarantine is not counted), and resyncs completed.
 	PollFailures     int
 	PollRetries      int
 	BreakerFastFails int
@@ -792,7 +793,7 @@ func (m *Mediator) Initialize() error {
 	// breaker, per-attempt deadline — no-ops under the zero config).
 	v := m.curVDP()
 	leafStates := make(map[string]*relation.Relation)
-	for src := range m.sources {
+	for _, src := range m.sourceNames() {
 		leaves := v.LeavesOf(src)
 		if len(leaves) == 0 {
 			continue
@@ -916,6 +917,7 @@ func (m *Mediator) OnAnnouncement(a source.Announcement) {
 				return // duplicate / replayed announcement
 			}
 			if first > last+1 {
+				m.obs.gapsDetected.Inc()
 				m.quarantineLocked(a.Source, fmt.Sprintf("announcement gap: expected seq %d, got %d", last+1, first))
 				m.penAppendLocked(a)
 				return

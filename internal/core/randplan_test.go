@@ -10,6 +10,7 @@ import (
 	"squirrel/internal/clock"
 	"squirrel/internal/delta"
 	"squirrel/internal/relation"
+	"squirrel/internal/resilience"
 	"squirrel/internal/source"
 	"squirrel/internal/trace"
 	"squirrel/internal/vdp"
@@ -28,7 +29,6 @@ type randPlan struct {
 	med     *Mediator
 	rec     *trace.Recorder
 	export  string
-	clk     *clock.Logical
 	domains map[string]int64 // per-leaf value domain size (join compatibility)
 }
 
@@ -38,16 +38,30 @@ type randPlan struct {
 // conditions, projections, and annotations.
 func buildRandomPlan(t *testing.T, rng *rand.Rand) *randPlan {
 	t.Helper()
-	return buildRandomPlanWorkers(t, rng, 0)
+	return buildRandomPlanWith(t, rng, randPlanOpts{})
 }
 
-// buildRandomPlanWorkers is buildRandomPlan with the kernel executor
-// selected. It consumes rng identically for every workers value, so two
-// calls with equally-seeded rngs produce byte-identical environments that
-// differ only in the executor — the setup the differential oracle needs.
-func buildRandomPlanWorkers(t *testing.T, rng *rand.Rand, workers int) *randPlan {
+// randPlanOpts is what a random environment varies beyond its plan: the
+// kernel executor, the clock (nil = a fresh clock.Logical), an injector
+// wrapping every source connection in fault injection (nil = none), and
+// the fault boundary.
+type randPlanOpts struct {
+	workers int
+	clk     clock.Clock
+	inj     *resilience.Injector
+	resil   ResilienceConfig
+}
+
+// buildRandomPlanWith consumes rng identically for every opts, so two
+// calls with equally-seeded rngs produce byte-identical plans whose
+// environments differ only in opts — the setup the differential oracle
+// and the twin test need.
+func buildRandomPlanWith(t *testing.T, rng *rand.Rand, opts randPlanOpts) *randPlan {
 	t.Helper()
-	clk := &clock.Logical{}
+	clk := opts.clk
+	if clk == nil {
+		clk = &clock.Logical{}
+	}
 	nLeaves := 2 + rng.Intn(2) // 2 or 3 leaves
 	var nodes []*vdp.Node
 	dbs := map[string]*source.DB{}
@@ -60,6 +74,9 @@ func buildRandomPlanWorkers(t *testing.T, rng *rand.Rand, workers int) *randPlan
 		if dbs[src] == nil {
 			dbs[src] = source.NewDB(src, clk)
 			conns[src] = LocalSource{DB: dbs[src]}
+			if opts.inj != nil {
+				conns[src] = resilience.WrapSource(conns[src], opts.inj)
+			}
 		}
 		name := fmt.Sprintf("L%d", i)
 		leafNames[i] = name
@@ -188,18 +205,18 @@ func buildRandomPlanWorkers(t *testing.T, rng *rand.Rand, workers int) *randPlan
 		t.Fatalf("generated plan invalid: %v\nshape=%d", err, shape)
 	}
 	rec := trace.NewRecorder()
-	med, err := New(Config{VDP: plan, Sources: conns, Clock: clk, Recorder: rec})
+	med, err := New(Config{VDP: plan, Sources: conns, Clock: clk, Recorder: rec, Resilience: opts.resil})
 	if err != nil {
 		t.Fatal(err)
 	}
-	useKernel(med, workers)
+	useKernel(med, opts.workers)
 	for _, db := range dbs {
 		ConnectLocal(med, db)
 	}
 	if err := med.Initialize(); err != nil {
 		t.Fatalf("initialize: %v\nplan:\n%s", err, plan)
 	}
-	return &randPlan{plan: plan, dbs: dbs, med: med, rec: rec, export: export, clk: clk, domains: domains}
+	return &randPlan{plan: plan, dbs: dbs, med: med, rec: rec, export: export, domains: domains}
 }
 
 func findNode(nodes []*vdp.Node, name string) *vdp.Node {

@@ -6,6 +6,7 @@ package node
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"squirrel/internal/clock"
@@ -83,7 +84,12 @@ func Start(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("recovering WAL: %w", err)
 	}
 	lp := med.LastProcessed()
+	names := make([]string, 0, len(cfg.Mediator.Sources))
 	for name := range cfg.Mediator.Sources {
+		names = append(names, name)
+	}
+	sort.Strings(names) // replay and quarantine in a fixed order
+	for _, name := range names {
 		attach, replay := cfg.Attach[name], cfg.Replay[name]
 		if replay == nil {
 			if attach != nil {

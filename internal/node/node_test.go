@@ -268,14 +268,14 @@ func TestLifecycle(t *testing.T) {
 			if last := seqs[len(seqs)-1]; last != med.StoreVersion() {
 				t.Fatalf("export's last seq %d, store at v%d", last, med.StoreVersion())
 			}
-			// The only quarantine (a gap, in the counter's terms) and
-			// resync are the deliberate ones of a recovered wire source.
-			st, want := med.Stats(), 0
+			// No announcement is ever lost, so no gap is counted; the only
+			// resync is the deliberate one of a recovered wire source.
+			st, resyncs := med.Stats(), 0
 			if tc.recover && tc.wire {
-				want = 1
+				resyncs = 1
 			}
-			if st.GapsDetected != want || st.Resyncs != want {
-				t.Errorf("%d gaps detected, %d resyncs; want %d each", st.GapsDetected, st.Resyncs, want)
+			if st.GapsDetected != 0 || st.Resyncs != resyncs {
+				t.Errorf("%d gaps detected, %d resyncs; want 0 and %d", st.GapsDetected, st.Resyncs, resyncs)
 			}
 		})
 	}

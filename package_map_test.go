@@ -8,8 +8,9 @@ import (
 
 // TestPackageMapsMatchTree keeps the two package maps — DESIGN.md §2's
 // repository layout and README's Architecture block — in step with the
-// tree: every internal/ directory has a row in each map, and every row
-// names a directory that exists.
+// tree: every internal/ directory has a row in each map, every row
+// names a directory that exists, and every root-level .go file a map
+// names exists.
 func TestPackageMapsMatchTree(t *testing.T) {
 	entries, err := os.ReadDir("internal")
 	if err != nil {
@@ -40,6 +41,11 @@ func TestPackageMapsMatchTree(t *testing.T) {
 				t.Errorf("%s's package map has no row for internal/%s", doc.file, name)
 			}
 		}
+		for _, name := range rootGoFiles(block) {
+			if _, err := os.Stat(name); err != nil {
+				t.Errorf("%s maps root file %s, which does not exist", doc.file, name)
+			}
+		}
 	}
 }
 
@@ -67,4 +73,29 @@ func packageRows(block string) map[string]bool {
 		}
 	}
 	return rows
+}
+
+// rootGoFiles returns the .go files a layout block names on its
+// root-level rows: lines indented like its "internal/" line.
+func rootGoFiles(block string) []string {
+	lines := strings.Split(block, "\n")
+	at := -1
+	for _, line := range lines {
+		if text := strings.TrimLeft(line, " "); text == "internal/" {
+			at = len(line) - len(text)
+		}
+	}
+	var files []string
+	for _, line := range lines {
+		text := strings.TrimLeft(line, " ")
+		if len(line)-len(text) != at {
+			continue
+		}
+		for _, word := range strings.Fields(text) {
+			if word = strings.TrimRight(word, ","); strings.HasSuffix(word, ".go") {
+				files = append(files, word)
+			}
+		}
+	}
+	return files
 }

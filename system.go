@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"squirrel/internal/algebra"
+	"squirrel/internal/checker"
+	"squirrel/internal/clock"
 	"squirrel/internal/core"
 	"squirrel/internal/node"
 	"squirrel/internal/relation"
@@ -20,8 +22,8 @@ import (
 // shared logical clock with a trace recorder, ready for the correctness
 // checkers.
 type System struct {
-	clk     *LogicalClock
-	rec     *Recorder
+	clk     *clock.Logical
+	rec     *trace.Recorder
 	builder *vdp.Builder
 	sources map[string]*Source
 	order   []string
@@ -40,7 +42,7 @@ type Source struct {
 // NewSystem creates an empty system.
 func NewSystem() *System {
 	return &System{
-		clk:     &LogicalClock{},
+		clk:     &clock.Logical{},
 		rec:     trace.NewRecorder(),
 		builder: vdp.NewBuilder(),
 		sources: make(map[string]*Source),
@@ -73,10 +75,6 @@ func (s *System) MustSource(name string) *Source {
 	}
 	return src
 }
-
-// DB exposes the underlying source database (commits, snapshot queries,
-// historical replay).
-func (src *Source) DB() *SourceDB { return src.db }
 
 // Name returns the source database's name.
 func (src *Source) Name() string { return src.db.Name() }
@@ -191,30 +189,23 @@ type DurabilityConfig struct {
 	// Dir is the WAL directory (segments + checkpoints), created if
 	// missing. Required.
 	Dir string
-	// Fsync is the sync policy: wal.SyncCommit (default — every
-	// published version is durable first), wal.SyncBatch (the runtime
-	// makes each drained batch durable with one fsync before its next
-	// transaction), or wal.SyncNone.
-	Fsync wal.SyncPolicy
-	// CompactEvery checkpoints the store and truncates the log after
-	// this many logged commits (0 = default, negative = only on
-	// shutdown/recovery).
-	CompactEvery int
 }
 
 // StartDurable is Start backed by a durable write-ahead delta log. On a
 // fresh directory it initializes from the sources and starts logging;
 // on a directory with state it recovers — newest readable checkpoint
 // plus log replay — then catches up on source commits made while down
-// (from the source logs; never a full resync). The returned info is nil
-// on a fresh start.
-func (s *System) StartDurable(cfg DurabilityConfig) (*wal.RecoveryInfo, error) {
-	return s.start(&wal.Options{Dir: cfg.Dir, Policy: cfg.Fsync, CompactEvery: cfg.CompactEvery})
+// (from the source logs; never a full resync). Every published version
+// is durable before it is visible (fsync per commit), and the log is
+// compacted on the default cadence. The returned info is nil on a fresh
+// start.
+func (s *System) StartDurable(cfg DurabilityConfig) (*RecoveryInfo, error) {
+	return s.start(&wal.Options{Dir: cfg.Dir})
 }
 
 // start builds the mediator over the registered sources through the one
 // node lifecycle (internal/node), with a log when opts is non-nil.
-func (s *System) start(opts *wal.Options) (*wal.RecoveryInfo, error) {
+func (s *System) start(opts *wal.Options) (*RecoveryInfo, error) {
 	if s.started {
 		return nil, fmt.Errorf("squirrel: already started")
 	}
@@ -241,9 +232,6 @@ func (s *System) start(opts *wal.Options) (*wal.RecoveryInfo, error) {
 	s.med, s.wal, s.started = n.Mediator, n.WAL, true
 	return n.Recovery, nil
 }
-
-// WAL exposes the system's log manager (nil unless StartDurable).
-func (s *System) WAL() *wal.Manager { return s.wal }
 
 // Shutdown closes the WAL cleanly — final checkpoint, so the next
 // StartDurable replays nothing. Stop any Runtime first. No-op without a
@@ -390,17 +378,6 @@ func (s *System) StoreVersion() uint64 {
 	return s.med.StoreVersion()
 }
 
-// CurrentVersion pins the currently published store version: an immutable
-// snapshot of the materialized store that stays valid (and consistent)
-// for as long as the pointer is held, regardless of concurrent updates.
-// Nil before Start.
-func (s *System) CurrentVersion() *StoreVersion {
-	if !s.started {
-		return nil
-	}
-	return s.med.CurrentVersion()
-}
-
 // Plan exposes the validated VDP (nil before Start). After a live
 // re-annotation (Reannotate, StartAdapt) this is the mediator's current
 // plan, not the one the system was constructed with.
@@ -410,12 +387,6 @@ func (s *System) Plan() *VDP {
 	}
 	return s.med.VDP()
 }
-
-// Trace exposes the transaction trace recorder.
-func (s *System) Trace() *Recorder { return s.rec }
-
-// ClockNow returns a fresh global timestamp.
-func (s *System) ClockNow() Time { return s.clk.Now() }
 
 // CheckConsistency verifies the recorded trace against the §3 consistency
 // definition (the executable content of Theorem 7.1).
@@ -435,7 +406,7 @@ func (s *System) CheckFreshness(bounds TimeVector) (TimeVector, error) {
 	return s.checkerEnv().CheckFreshness(bounds)
 }
 
-func (s *System) checkerEnv() CheckerEnvironment {
+func (s *System) checkerEnv() checker.Environment {
 	dbs := make(map[string]*source.DB, len(s.sources))
 	for name, src := range s.sources {
 		dbs[name] = src.db
@@ -443,7 +414,7 @@ func (s *System) checkerEnv() CheckerEnvironment {
 	// Use the live plan: a re-annotation changes where data lives, not what
 	// the view logically contains, so the checkers' recomputation is the
 	// same — but the live annotation keeps the environment honest.
-	return CheckerEnvironment{VDP: s.med.VDP(), Sources: dbs, Trace: s.rec}
+	return checker.Environment{VDP: s.med.VDP(), Sources: dbs, Trace: s.rec}
 }
 
 // Relations is a convenience for building an initial set relation.

@@ -4,6 +4,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"squirrel/internal/algebra"
+	"squirrel/internal/checker"
+	"squirrel/internal/relation"
 )
 
 func demoSystem(t testing.TB) *System {
@@ -67,10 +71,10 @@ func TestSystemQuickstart(t *testing.T) {
 	if err := sys.CheckConsistency(); err != nil {
 		t.Fatalf("trace inconsistent: %v", err)
 	}
-	if sys.Plan() == nil || sys.Mediator() == nil || sys.Trace() == nil {
+	if sys.Plan() == nil || sys.Mediator() == nil || sys.rec == nil {
 		t.Errorf("accessors nil")
 	}
-	if sys.ClockNow() == 0 {
+	if sys.clk.Now() == 0 {
 		t.Errorf("clock")
 	}
 }
@@ -168,7 +172,7 @@ func TestSystemBadViewAndAnnotation(t *testing.T) {
 }
 
 func TestFigure2ViaPublicAPI(t *testing.T) {
-	sc, table := Figure2Scenario()
+	sc, table := checker.Figure2Scenario()
 	pseudo, err := sc.PseudoConsistent()
 	if err != nil || !pseudo {
 		t.Fatalf("pseudo: %v %v", pseudo, err)
@@ -183,12 +187,12 @@ func TestFigure2ViaPublicAPI(t *testing.T) {
 }
 
 func TestPublicExprHelpers(t *testing.T) {
-	e := Conj(Eq(A("x"), CInt(1)), Disj(Lt(A("y"), CStr("z")), Ge(A("x"), CInt(0))), Ne(A("x"), CInt(9)), Le(A("x"), CInt(5)), Gt(A("x"), CInt(-5)))
+	e := algebra.Conj(algebra.Eq(algebra.A("x"), algebra.CInt(1)), algebra.Disj(algebra.Lt(algebra.A("y"), algebra.CStr("z")), algebra.Ge(algebra.A("x"), algebra.CInt(0))), algebra.Ne(algebra.A("x"), algebra.CInt(9)), algebra.Le(algebra.A("x"), algebra.CInt(5)), algebra.Gt(algebra.A("x"), algebra.CInt(-5)))
 	if e.String() == "" {
 		t.Errorf("expr helpers")
 	}
-	if Int(1).Kind() != KindInt || Float(1).Kind() != KindFloat || Str("").Kind() != KindString ||
-		Bool(true).Kind() != KindBool || !Null().IsNull() {
+	if relation.Int(1).Kind() != KindInt || relation.Float(1).Kind() != KindFloat || relation.Str("").Kind() != KindString ||
+		relation.Bool(true).Kind() != KindBool || !relation.Null().IsNull() {
 		t.Errorf("value helpers")
 	}
 	r := NewRelation(MustSchema("X", []Attribute{{Name: "a", Type: KindInt}}), Bag)
@@ -242,7 +246,7 @@ func TestSystemDurableWAL(t *testing.T) {
 	if info != nil {
 		t.Fatalf("fresh start returned recovery info %+v", info)
 	}
-	if sys.WAL() == nil {
+	if sys.wal == nil {
 		t.Fatal("StartDurable left no WAL manager")
 	}
 	if _, err := sys.MustSource("db1").Insert("R", T(5, 20, 11, 100)); err != nil {
@@ -256,7 +260,7 @@ func TestSystemDurableWAL(t *testing.T) {
 		t.Fatalf("pre-crash view (err %v):\n%s", err, rows)
 	}
 	version := sys.StoreVersion()
-	sys.WAL().Kill() // power cut: no Shutdown, no final checkpoint
+	sys.wal.Kill() // power cut: no Shutdown, no final checkpoint
 
 	twin := demoSystem(t)
 	info, err = twin.StartDurable(DurabilityConfig{Dir: dir})
