@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -31,9 +29,7 @@ type DialOptions struct {
 	// WrapConn, if non-nil, wraps every new connection — the hook for
 	// resilience.WrapNetConn fault injection.
 	WrapConn func(net.Conn) net.Conn
-	// OnDrop runs when an established connection is lost (before any
-	// redial); OnReconnect runs after each successful redial + hello.
-	OnDrop      func(error)
+	// OnReconnect runs after each successful redial + hello.
 	OnReconnect func()
 }
 
@@ -51,17 +47,14 @@ type Client struct {
 	// usable (the stale reply is discarded when it arrives).
 	Timeout time.Duration
 
-	wmu    sync.Mutex
-	writer *bufio.Writer
+	// wmu serializes requests' writes to the connection.
+	wmu sync.Mutex
 
-	mu      sync.Mutex
+	link
 	name    string
-	conn    net.Conn
 	nextID  uint64
 	waiters map[uint64]chan Message
 	handler source.Handler
-	closed  bool
-	readErr error
 	// ready gates roundTrip: it is false from the moment a connection is
 	// lost until the replacement is fully adopted — redialed, hello'd,
 	// AND OnReconnect has returned. Without the gate, a request could
@@ -91,6 +84,7 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 		addr:    addr,
 		opts:    opts,
 		Timeout: opts.Timeout,
+		link:    link{done: make(chan struct{})},
 		waiters: make(map[uint64]chan Message),
 	}
 	if err := c.connect(); err != nil {
@@ -104,56 +98,25 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 	return c, nil
 }
 
-// connect dials, installs the new connection, and waits for the server's
+// connect dials, installs the new connection, and checks the server's
 // hello. On success the read loop is running against the new connection.
 func (c *Client) connect() error {
-	conn, err := net.Dial("tcp", c.addr)
+	conn, hello, err := dial(c.addr, c.opts.WrapConn, &c.link)
 	if err != nil {
 		return err
 	}
-	if c.opts.WrapConn != nil {
-		conn = c.opts.WrapConn(conn)
-	}
-	hello := make(chan Message, 1)
-	done := make(chan struct{})
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		conn.Close()
-		return fmt.Errorf("wire: client closed")
+	name := c.name
+	if name == "" {
+		c.name = hello.Name
 	}
-	c.conn = conn
 	c.mu.Unlock()
-	c.wmu.Lock()
-	c.writer = bufio.NewWriter(conn)
-	c.wmu.Unlock()
-	go c.readLoop(conn, hello, done)
-	select {
-	case m := <-hello:
-		err := checkHello(m, nil)
-		c.mu.Lock()
-		if err == nil && c.name != "" && c.name != m.Name {
-			err = fmt.Errorf("wire: reconnected to %q, expected %q", m.Name, c.name)
-		}
-		if err != nil {
-			// Disown the connection first, so its read loop exits as
-			// stale instead of treating the refusal as a drop and
-			// starting a second redial loop.
-			c.conn = nil
-			c.mu.Unlock()
-			conn.Close()
-			return err
-		}
-		c.name = m.Name
-		c.mu.Unlock()
-		return nil
-	case <-done:
-		conn.Close()
-		c.mu.Lock()
-		err := c.readErr
-		c.mu.Unlock()
-		return fmt.Errorf("wire: connection closed before hello: %v", err)
+	if name != "" && name != hello.Name {
+		c.drop(conn)
+		return fmt.Errorf("wire: reconnected to %q, expected %q", hello.Name, name)
 	}
+	go c.readLoop(conn)
+	return nil
 }
 
 // Name returns the remote source database's name (core.SourceConn).
@@ -173,21 +136,16 @@ func (c *Client) OnAnnounce(h source.Handler) {
 	c.handler = h
 }
 
-func (c *Client) readLoop(conn net.Conn, hello chan<- Message, done chan struct{}) {
-	defer close(done)
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	for scanner.Scan() {
-		var m Message
-		if err := json.Unmarshal(scanner.Bytes(), &m); err != nil {
+func (c *Client) readLoop(conn *frameConn) {
+	for {
+		m, err := conn.read()
+		if _, bad := err.(badLine); bad {
 			continue // tolerate garbage lines
 		}
+		if err != nil {
+			break
+		}
 		switch m.Type {
-		case "hello":
-			select {
-			case hello <- m:
-			default:
-			}
 		case "announce":
 			c.mu.Lock()
 			h := c.handler
@@ -231,7 +189,6 @@ func (c *Client) readLoop(conn net.Conn, hello chan<- Message, done chan struct{
 	// write; the announcement handler stays registered for the new
 	// connection.
 	c.mu.Lock()
-	c.readErr = scanner.Err()
 	for id, ch := range c.waiters {
 		if ch != nil {
 			close(ch)
@@ -246,13 +203,7 @@ func (c *Client) readLoop(conn net.Conn, hello chan<- Message, done chan struct{
 		c.ready = false
 	}
 	c.mu.Unlock()
-	if closed || stale {
-		return
-	}
-	if c.opts.OnDrop != nil {
-		c.opts.OnDrop(c.readErr)
-	}
-	if c.opts.Reconnect {
+	if !closed && !stale && c.opts.Reconnect {
 		go c.reconnectLoop()
 	}
 }
@@ -260,34 +211,19 @@ func (c *Client) readLoop(conn net.Conn, hello chan<- Message, done chan struct{
 // reconnectLoop redials with capped exponential backoff until it succeeds
 // or the client is closed.
 func (c *Client) reconnectLoop() {
-	backoff := c.opts.RetryBase
-	for {
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			return
-		}
-		if err := c.connect(); err == nil {
-			// OnReconnect must complete BEFORE requests may flow again:
-			// it is the hook that accounts for announcements lost in the
-			// outage (quarantine + resync), and an answer returned ahead
-			// of it could reflect commits the mediator has not yet
-			// learned to distrust.
-			if c.opts.OnReconnect != nil {
-				c.opts.OnReconnect()
-			}
-			c.mu.Lock()
-			c.ready = true
-			c.mu.Unlock()
-			return
-		}
-		time.Sleep(backoff)
-		backoff *= 2
-		if backoff > c.opts.RetryMax {
-			backoff = c.opts.RetryMax
-		}
+	if !redial(c.opts.RetryBase, c.opts.RetryMax, c.done, c.connect) {
+		return
 	}
+	// OnReconnect must complete BEFORE requests may flow again: it is the
+	// hook that accounts for announcements lost in the outage (quarantine
+	// + resync), and an answer returned ahead of it could reflect commits
+	// the mediator has not yet learned to distrust.
+	if c.opts.OnReconnect != nil {
+		c.opts.OnReconnect()
+	}
+	c.mu.Lock()
+	c.ready = true
+	c.mu.Unlock()
 }
 
 // roundTrip sends a request and waits for its matched reply. The waiter
@@ -299,7 +235,7 @@ func (c *Client) roundTrip(m Message) (Message, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return Message{}, fmt.Errorf("wire: client closed")
+		return Message{}, errClosed
 	}
 	if !c.ready {
 		c.mu.Unlock()
@@ -309,6 +245,7 @@ func (c *Client) roundTrip(m Message) (Message, error) {
 	id := c.nextID
 	ch := make(chan Message, 1)
 	c.waiters[id] = ch
+	conn := c.conn
 	c.mu.Unlock()
 	unregister := func() {
 		c.mu.Lock()
@@ -317,33 +254,14 @@ func (c *Client) roundTrip(m Message) (Message, error) {
 	}
 
 	m.ID = id
-	b, err := encode(m)
+	c.wmu.Lock()
+	err := conn.write(m)
+	c.wmu.Unlock()
 	if err != nil {
+		// A transport that really is broken shows on the read side, which
+		// tears the connection down.
 		unregister()
 		return Message{}, err
-	}
-	c.wmu.Lock()
-	_, werr := c.writer.Write(b)
-	if werr == nil {
-		werr = c.writer.Flush()
-	}
-	if werr != nil {
-		// A write error poisons a bufio.Writer permanently (it returns the
-		// cached error forever after). Reset it against the current
-		// connection so a transient fault doesn't outlive itself; if the
-		// transport really is broken, the read loop notices and tears the
-		// connection down anyway.
-		c.mu.Lock()
-		conn := c.conn
-		c.mu.Unlock()
-		if conn != nil {
-			c.writer = bufio.NewWriter(conn)
-		}
-	}
-	c.wmu.Unlock()
-	if werr != nil {
-		unregister()
-		return Message{}, werr
 	}
 	var timeout <-chan time.Time
 	if c.Timeout > 0 {
@@ -420,18 +338,6 @@ func (c *Client) Apply(d Delta) (clock.Time, error) {
 		return 0, err
 	}
 	return reply.AsOf, nil
-}
-
-// Close tears the connection down and disables reconnection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	conn := c.conn
-	c.mu.Unlock()
-	if conn != nil {
-		return conn.Close()
-	}
-	return nil
 }
 
 // Catalog fetches the source's relation schemas (for mediators assembled

@@ -15,7 +15,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"squirrel/internal/algebra"
@@ -32,22 +31,6 @@ import (
 // version (0) comes from a version-1 peer, whose answers and
 // announcements used a row form.
 const ProtocolVersion = 2
-
-// checkHello returns err, or an error unless m is a hello of
-// ProtocolVersion.
-func checkHello(m Message, err error) error {
-	if err != nil {
-		return err
-	}
-	if m.Type != "hello" {
-		return fmt.Errorf("wire: expected hello, got %q", m.Type)
-	}
-	if m.Proto != ProtocolVersion {
-		return fmt.Errorf("wire: peer %q speaks protocol version %d, this side speaks %d",
-			m.Name, m.Proto, ProtocolVersion)
-	}
-	return nil
-}
 
 // Value is the wire form of relation.Value.
 type Value struct {
@@ -727,13 +710,4 @@ func DecodeSubFrame(m Message) (core.SubFrame, error) {
 		return core.SubFrame{}, fmt.Errorf("wire: unknown frame kind %q", m.FrameKind)
 	}
 	return f, nil
-}
-
-// encode marshals a message plus newline.
-func encode(m Message) ([]byte, error) {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }

@@ -1,10 +1,8 @@
 package wire
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"net"
+	"log"
 	"sync"
 
 	"squirrel/internal/algebra"
@@ -29,19 +27,17 @@ type AdvicePayload = core.AdaptDecision
 // published store version — so concurrent clients' purely-materialized
 // queries proceed in parallel, even while update transactions run.
 type MediatorServer struct {
-	med *core.Mediator
-
-	mu     sync.Mutex
-	adapt  *core.AdaptController
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	server
+	med   *core.Mediator
+	adapt *core.AdaptController // guarded by server.mu
 }
 
 // NewMediatorServer wraps a mediator.
 func NewMediatorServer(med *core.Mediator) *MediatorServer {
-	return &MediatorServer{med: med, conns: make(map[net.Conn]struct{})}
+	s := &MediatorServer{med: med}
+	s.server = server{name: "mediator", open: s.open, logf: log.Printf,
+		conns: make(map[*srvConn]struct{})}
+	return s
 }
 
 // SetAdaptController attaches an adaptive-annotation controller so
@@ -66,308 +62,162 @@ func (s *MediatorServer) adaptController() *core.AdaptController {
 	return s.adapt
 }
 
-// Start listens on addr (":0" for ephemeral) and serves in the background,
-// returning the bound address.
-func (s *MediatorServer) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
+// medConn is one connection's subscription state: its live subscriptions
+// by export (touched only by the connection's read loop) and their pump
+// goroutines, which exit when the subscription closes or the connection
+// is dropped.
+type medConn struct {
+	*srvConn
+	med   *core.Mediator
+	subs  map[string]*core.Subscription
+	pumps sync.WaitGroup
 }
 
-func (s *MediatorServer) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *MediatorServer) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer conn.Close()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.conns[conn] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	// Subscription pump goroutines share the connection's writer with the
-	// request/reply loop, so sends are serialized behind wmu. Replies and
-	// frames may interleave, but each message is written atomically.
-	w := bufio.NewWriter(conn)
-	var wmu sync.Mutex
-	send := func(m Message) bool {
-		b, err := encode(m)
-		if err != nil {
-			return false
-		}
-		wmu.Lock()
-		defer wmu.Unlock()
-		if _, err := w.Write(b); err != nil {
-			return false
-		}
-		return w.Flush() == nil
-	}
-	// subs tracks this connection's live subscriptions by export (touched
-	// only by this goroutine); their pump goroutines exit when the
-	// subscription closes or the connection dies.
-	subs := make(map[string]*core.Subscription)
-	var pumps sync.WaitGroup
-	defer func() {
-		for _, sub := range subs {
-			sub.Close()
-		}
-		pumps.Wait()
-	}()
-	if !send(Message{Type: "hello", Name: "mediator", Proto: ProtocolVersion}) {
-		return
-	}
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	for scanner.Scan() {
-		var m Message
-		if err := json.Unmarshal(scanner.Bytes(), &m); err != nil {
-			if !send(Message{Type: "error", Error: "bad message: " + err.Error()}) {
-				return
-			}
-			continue
-		}
-		switch m.Type {
-		case "medquery":
-			var cond algebra.Expr
-			var err error
-			if len(m.Specs) != 1 {
-				err = fmt.Errorf("medquery needs exactly one spec")
-			} else {
-				cond, err = m.Specs[0].Cond.Decode()
-			}
-			if err != nil {
-				if !send(Message{Type: "error", ID: m.ID, Error: err.Error()}) {
-					return
-				}
-				continue
-			}
-			opts := core.QueryOptions{MaxStaleness: m.MaxStale}
-			if m.Degrade == "stale" {
-				opts.Degrade = core.ServeStale
-			}
-			res, err := s.med.Query(algebra.SelectFrom(m.Specs[0].Rel, m.Specs[0].Attrs, cond), opts)
-			if err != nil {
-				if !send(Message{Type: "error", ID: m.ID, Error: err.Error()}) {
-					return
-				}
-				continue
-			}
-			if !send(Message{Type: "answer", ID: m.ID, AsOf: res.Committed,
-				Answers:  []Relation{EncodeRelation(res.Answer)},
-				Version:  res.Version,
-				Degraded: res.Degraded, Staleness: res.Staleness}) {
-				return
-			}
-		case "medversion":
-			if !send(Message{Type: "answer", ID: m.ID, Version: s.med.StoreVersion()}) {
-				return
-			}
-		case "medstats":
+func (s *MediatorServer) open(c *srvConn) (map[string]handler, func()) {
+	mc := &medConn{srvConn: c, med: s.med, subs: make(map[string]*core.Subscription)}
+	return map[string]handler{
+		"medquery": s.query,
+		"medversion": func(Message) (Message, error) {
+			return Message{Type: "answer", Version: s.med.StoreVersion()}, nil
+		},
+		"medstats": func(Message) (Message, error) {
 			st := s.med.Stats()
-			if !send(Message{Type: "answer", ID: m.ID, Stats: &st}) {
-				return
-			}
-		case "medmetrics":
+			return Message{Type: "answer", Stats: &st}, nil
+		},
+		"medmetrics": func(Message) (Message, error) {
 			snap := s.med.MetricsSnapshot()
-			if !send(Message{Type: "answer", ID: m.ID, Metrics: &snap}) {
-				return
-			}
-		case "medevents":
+			return Message{Type: "answer", Metrics: &snap}, nil
+		},
+		"medevents": func(m Message) (Message, error) {
 			n := m.Limit
 			if n <= 0 {
 				n = 100
 			}
 			evs, total := s.med.Metrics().Events().Recent(n)
-			if !send(Message{Type: "answer", ID: m.ID, Events: evs, EventsTotal: total}) {
-				return
-			}
-		case "readvise":
+			return Message{Type: "answer", Events: evs, EventsTotal: total}, nil
+		},
+		"readvise": func(m Message) (Message, error) {
 			dec, err := s.adaptController().Readvise(m.DryRun)
-			if err != nil {
-				if !send(Message{Type: "error", ID: m.ID, Error: err.Error()}) {
-					return
-				}
-				continue
+			return Message{Type: "answer", Advice: dec}, err
+		},
+		"subscribe":   mc.subscribe,
+		"unsubscribe": mc.unsubscribe,
+		"sync":        s.sync,
+	}, mc.end
+}
+
+func (s *MediatorServer) query(m Message) (Message, error) {
+	if len(m.Specs) != 1 {
+		return Message{}, fmt.Errorf("medquery needs exactly one spec")
+	}
+	cond, err := m.Specs[0].Cond.Decode()
+	if err != nil {
+		return Message{}, err
+	}
+	opts := core.QueryOptions{MaxStaleness: m.MaxStale}
+	if m.Degrade == "stale" {
+		opts.Degrade = core.ServeStale
+	}
+	res, err := s.med.Query(algebra.SelectFrom(m.Specs[0].Rel, m.Specs[0].Attrs, cond), opts)
+	if err != nil {
+		return Message{}, err
+	}
+	return Message{Type: "answer", AsOf: res.Committed,
+		Answers:  []Relation{EncodeRelation(res.Answer)},
+		Version:  res.Version,
+		Degraded: res.Degraded, Staleness: res.Staleness}, nil
+}
+
+// sync drains the update queue on request (a remote Flush).
+func (s *MediatorServer) sync(Message) (Message, error) {
+	flushed := 0
+	for {
+		ran, err := s.med.RunUpdateTransaction()
+		if err != nil {
+			return Message{}, err
+		}
+		if !ran {
+			return Message{Type: "answer", AsOf: clock.Time(flushed)}, nil
+		}
+		flushed++
+	}
+}
+
+func (c *medConn) subscribe(m Message) (Message, error) {
+	sub, err := c.med.Subscribe(m.Export, core.SubscribeOptions{
+		FromVersion: m.FromVersion, MaxQueue: m.MaxQueue, MaxLag: m.MaxLag})
+	if err != nil {
+		return Message{}, err
+	}
+	if old := c.subs[m.Export]; old != nil {
+		old.Close()
+	}
+	c.subs[m.Export] = sub
+	// The reply goes out before the pump can queue the stream's first frame.
+	c.send(Message{Type: "answer", ID: m.ID, Export: m.Export, Version: c.med.StoreVersion()})
+	c.pumps.Add(1)
+	go c.pump(m.Export, sub)
+	return Message{}, nil
+}
+
+func (c *medConn) pump(export string, sub *core.Subscription) {
+	defer c.pumps.Done()
+	for {
+		f, err := sub.Recv()
+		if err != nil {
+			if err != core.ErrSubscriptionClosed {
+				// A registry-side failure (barrier on a plan that
+				// dropped the export): surface it on the stream.
+				c.send(Message{Type: "error", Export: export, Error: err.Error()})
 			}
-			if !send(Message{Type: "answer", ID: m.ID, Advice: dec}) {
-				return
-			}
-		case "subscribe":
-			sub, err := s.med.Subscribe(m.Export, core.SubscribeOptions{
-				FromVersion: m.FromVersion, MaxQueue: m.MaxQueue, MaxLag: m.MaxLag})
-			if err != nil {
-				if !send(Message{Type: "error", ID: m.ID, Error: err.Error()}) {
-					return
-				}
-				continue
-			}
-			if old := subs[m.Export]; old != nil {
-				old.Close()
-			}
-			subs[m.Export] = sub
-			if !send(Message{Type: "answer", ID: m.ID, Export: m.Export,
-				Version: s.med.StoreVersion()}) {
-				return
-			}
-			pumps.Add(1)
-			go func(export string, sub *core.Subscription) {
-				defer pumps.Done()
-				for {
-					f, err := sub.Recv()
-					if err != nil {
-						if err != core.ErrSubscriptionClosed {
-							// A registry-side failure (barrier on a plan that
-							// dropped the export): surface it on the stream.
-							send(Message{Type: "error", Export: export, Error: err.Error()})
-						}
-						return
-					}
-					if !send(EncodeSubFrame(f)) {
-						sub.Close()
-						return
-					}
-				}
-			}(m.Export, sub)
-		case "unsubscribe":
-			if sub := subs[m.Export]; sub != nil {
-				sub.Close()
-				delete(subs, m.Export)
-			}
-			if !send(Message{Type: "answer", ID: m.ID, Export: m.Export}) {
-				return
-			}
-		case "sync":
-			// Drain the update queue on request (a remote Flush).
-			var flushed int
-			var err error
-			for {
-				var ran bool
-				ran, err = s.med.RunUpdateTransaction()
-				if err != nil || !ran {
-					break
-				}
-				flushed++
-			}
-			if err != nil {
-				if !send(Message{Type: "error", ID: m.ID, Error: err.Error()}) {
-					return
-				}
-				continue
-			}
-			if !send(Message{Type: "answer", ID: m.ID, AsOf: clock.Time(flushed)}) {
-				return
-			}
-		default:
-			if !send(Message{Type: "error", ID: m.ID, Error: "unknown message type " + m.Type}) {
-				return
-			}
+			return
+		}
+		if !c.send(EncodeSubFrame(f)) {
+			return
 		}
 	}
 }
 
-// Close stops the listener, drops every connection (ending their
-// subscription streams), and waits for in-flight handlers.
-func (s *MediatorServer) Close() error {
-	s.mu.Lock()
-	ln := s.ln
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
+func (c *medConn) unsubscribe(m Message) (Message, error) {
+	if sub := c.subs[m.Export]; sub != nil {
+		sub.Close()
+		delete(c.subs, m.Export)
 	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
+	return Message{Type: "answer", Export: m.Export}, nil
+}
+
+// end closes the connection's subscriptions and waits for their pumps.
+func (c *medConn) end() {
+	for _, sub := range c.subs {
+		sub.Close()
 	}
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
-	return err
+	c.pumps.Wait()
 }
 
 // MediatorClient is an application-side connection to a MediatorServer.
+// It has one request in flight at a time and reads each reply on the
+// caller's goroutine.
 type MediatorClient struct {
-	conn    net.Conn
-	writer  *bufio.Writer
-	scanner *bufio.Scanner
-	mu      sync.Mutex
-	nextID  uint64
+	link
+	reqMu  sync.Mutex // held for a whole round trip
+	nextID uint64
 }
 
 // DialMediator connects to a mediator server and consumes its hello.
 func DialMediator(addr string) (*MediatorClient, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
+	c := &MediatorClient{link: link{done: make(chan struct{})}}
+	if _, _, err := dial(addr, nil, &c.link); err != nil {
 		return nil, err
-	}
-	c := &MediatorClient{
-		conn:    conn,
-		writer:  bufio.NewWriter(conn),
-		scanner: bufio.NewScanner(conn),
-	}
-	c.scanner.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	if err := checkHello(c.read()); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("wire: mediator handshake failed: %v", err)
 	}
 	return c, nil
 }
 
-func (c *MediatorClient) read() (Message, error) {
-	if !c.scanner.Scan() {
-		if err := c.scanner.Err(); err != nil {
-			return Message{}, err
-		}
-		return Message{}, fmt.Errorf("wire: connection closed")
-	}
-	var m Message
-	if err := json.Unmarshal(c.scanner.Bytes(), &m); err != nil {
-		return Message{}, err
-	}
-	return m, nil
-}
-
 func (c *MediatorClient) roundTrip(m Message) (Message, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.reqMu.Lock()
+	defer c.reqMu.Unlock()
 	c.nextID++
 	m.ID = c.nextID
-	b, err := encode(m)
-	if err != nil {
-		return Message{}, err
-	}
-	if _, err := c.writer.Write(b); err != nil {
-		return Message{}, err
-	}
-	if err := c.writer.Flush(); err != nil {
-		return Message{}, err
-	}
-	reply, err := c.read()
+	reply, err := c.conn.call(m)
 	if err != nil {
 		return Message{}, err
 	}
@@ -403,11 +253,8 @@ func (c *MediatorClient) medQuery(m Message, export string, attrs []string, cond
 // Query answers π_attrs σ_cond (export) remotely; the returned time is
 // the query transaction's commit time at the mediator.
 func (c *MediatorClient) Query(export string, attrs []string, cond algebra.Expr) (*relation.Relation, clock.Time, error) {
-	reply, ans, err := c.medQuery(Message{}, export, attrs, cond)
-	if err != nil {
-		return nil, 0, err
-	}
-	return ans, reply.AsOf, nil
+	ans, asOf, _, err := c.QueryVersioned(export, attrs, cond)
+	return ans, asOf, err
 }
 
 // QueryVersioned is Query plus the published store version the answer was
@@ -504,6 +351,3 @@ func (c *MediatorClient) Sync() (int, error) {
 	}
 	return int(reply.AsOf), nil
 }
-
-// Close tears down the connection.
-func (c *MediatorClient) Close() error { return c.conn.Close() }

@@ -1,11 +1,7 @@
 package wire
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"squirrel/internal/clock"
@@ -56,15 +52,11 @@ type SubClient struct {
 	// closed by the read loop (and only by it) when the stream ends
 	// terminally, after termErr is set.
 	frames chan core.SubFrame
-	// done is closed by Close; it unblocks the read loop's hand-off and
-	// backoff sleeps, and any Next waiting on an idle stream.
-	done chan struct{}
-
-	mu        sync.Mutex
-	conn      net.Conn
+	// link.done, closed by Close, also unblocks the read loop's hand-off
+	// and any Next waiting on an idle stream.
+	link
 	delivered uint64 // resume cursor: highest version handed off
 	resumes   int
-	closed    bool
 	termErr   error
 }
 
@@ -79,204 +71,114 @@ func SubscribeView(addr, export string, opts SubOptions) (*SubClient, error) {
 		opts.RetryMax = 2 * time.Second
 	}
 	c := &SubClient{
-		addr: addr, export: export, opts: opts,
+		addr: addr, export: export, opts: opts, delivered: opts.FromVersion,
 		frames: make(chan core.SubFrame, 8),
-		done:   make(chan struct{}),
+		link:   link{done: make(chan struct{})},
 	}
-	c.delivered = opts.FromVersion
-	scanner, err := c.connect(opts.FromVersion)
+	conn, err := c.connect(opts.FromVersion)
 	if err != nil {
 		return nil, err
 	}
-	go c.readLoop(scanner)
+	go c.readLoop(conn)
 	return c, nil
 }
 
 // connect dials, consumes the hello, and performs the subscribe handshake
-// resuming after version from. On success the returned scanner is
+// resuming after version from. On success the returned connection is
 // positioned at the first frame.
-func (c *SubClient) connect(from uint64) (*bufio.Scanner, error) {
-	conn, err := net.Dial("tcp", c.addr)
+func (c *SubClient) connect(from uint64) (*frameConn, error) {
+	conn, _, err := dial(c.addr, nil, &c.link)
 	if err != nil {
 		return nil, err
 	}
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	read := func() (Message, error) {
-		if !scanner.Scan() {
-			if err := scanner.Err(); err != nil {
-				return Message{}, err
-			}
-			return Message{}, fmt.Errorf("wire: connection closed")
-		}
-		var m Message
-		if err := json.Unmarshal(scanner.Bytes(), &m); err != nil {
-			return Message{}, err
-		}
-		return m, nil
+	reply, err := conn.call(Message{Type: "subscribe", ID: 1, Export: c.export,
+		FromVersion: from, MaxQueue: c.opts.MaxQueue, MaxLag: c.opts.MaxLag})
+	if err == nil && reply.Type == "error" {
+		err = fmt.Errorf("wire: subscribe rejected: %s", reply.Error)
 	}
-	if err := checkHello(read()); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("wire: mediator handshake failed: %v", err)
-	}
-	req := Message{Type: "subscribe", ID: 1, Export: c.export,
-		FromVersion: from, MaxQueue: c.opts.MaxQueue, MaxLag: c.opts.MaxLag}
-	b, err := encode(req)
 	if err != nil {
-		conn.Close()
+		c.drop(conn)
 		return nil, err
 	}
-	w := bufio.NewWriter(conn)
-	if _, err := w.Write(b); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if err := w.Flush(); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	reply, err := read()
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if reply.Type == "error" {
-		conn.Close()
-		return nil, fmt.Errorf("wire: subscribe rejected: %s", reply.Error)
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		conn.Close()
-		return nil, fmt.Errorf("wire: subscription client closed")
-	}
-	c.conn = conn
-	c.mu.Unlock()
-	return scanner, nil
+	return conn, nil
 }
 
 // readLoop is the connection owner: it decodes frames, advances the
 // resume cursor, hands frames to Next, and redials on transport errors
 // (when Reconnect is set). It exits on Close or a terminal error, closing
 // the frame channel on the terminal path.
-func (c *SubClient) readLoop(scanner *bufio.Scanner) {
+func (c *SubClient) readLoop(conn *frameConn) {
 	for {
-		if !scanner.Scan() {
-			err := scanner.Err()
-			if err == nil {
-				err = fmt.Errorf("wire: connection closed")
-			}
-			ns, rerr := c.redialOr(err)
-			if rerr != nil {
-				c.fail(rerr)
-				return
-			}
-			scanner = ns
-			continue
-		}
-		var m Message
-		if err := json.Unmarshal(scanner.Bytes(), &m); err != nil {
-			// A corrupt line means the framing is gone: the rest of the
-			// stream cannot be trusted, so treat it like a dropped
-			// connection (the resubscribe replays anything torn off).
-			c.dropConn()
-			ns, rerr := c.redialOr(err)
-			if rerr != nil {
-				c.fail(rerr)
-				return
-			}
-			scanner = ns
-			continue
-		}
-		switch m.Type {
-		case "frame":
-			f, err := DecodeSubFrame(m)
-			if err != nil {
-				c.dropConn()
-				ns, rerr := c.redialOr(err)
-				if rerr != nil {
-					c.fail(rerr)
+		m, err := conn.read()
+		switch {
+		case err != nil:
+			// A transport error, or a corrupt line: the framing is gone,
+			// the rest of the stream cannot be trusted, and the
+			// resubscribe replays anything torn off.
+		case m.Type == "frame":
+			var f core.SubFrame
+			if f, err = DecodeSubFrame(m); err == nil {
+				if !c.handOff(f) {
 					return
 				}
-				scanner = ns
 				continue
 			}
-			// Advance the resume cursor atomically with the hand-off:
-			// the cursor must cover this frame BEFORE the loop can
-			// possibly redial (it redials only after returning here), or
-			// a drop between hand-off and advancement would resubscribe
-			// below a frame the consumer already has — and the replay
-			// would deliver that version twice.
-			c.mu.Lock()
-			c.delivered = f.Version
-			c.mu.Unlock()
-			select {
-			case c.frames <- f:
-			case <-c.done:
-				return
-			}
-		case "error":
+		case m.Type == "error":
 			c.fail(fmt.Errorf("wire: subscription error: %s", m.Error))
 			return
 		default:
-			// Stray replies (e.g. the unsubscribe ack) are not frames.
+			continue // stray replies (e.g. the unsubscribe ack) are not frames
 		}
+		c.drop(conn)
+		if conn, err = c.redialOr(err); err != nil {
+			c.fail(err)
+			return
+		}
+	}
+}
+
+// handOff passes f to Next, reporting false if the client closed first.
+// It advances the resume cursor atomically with the hand-off: the cursor
+// must cover f BEFORE the read loop can possibly redial, or a drop
+// between hand-off and advancement would resubscribe below a frame the
+// consumer already has — and the replay would deliver that version twice.
+func (c *SubClient) handOff(f core.SubFrame) bool {
+	c.mu.Lock()
+	c.delivered = f.Version
+	c.mu.Unlock()
+	select {
+	case c.frames <- f:
+		return true
+	case <-c.done:
+		return false
 	}
 }
 
 // redialOr handles a transport error: terminal when Reconnect is off,
 // otherwise it redials with capped backoff and resubscribes after the
-// resume cursor, returning the new connection's scanner.
-func (c *SubClient) redialOr(cause error) (*bufio.Scanner, error) {
+// resume cursor, returning the new connection.
+func (c *SubClient) redialOr(cause error) (*frameConn, error) {
 	if !c.opts.Reconnect {
 		return nil, cause
 	}
-	delay := c.opts.RetryBase
-	for {
-		c.mu.Lock()
-		closed := c.closed
-		from := c.delivered
-		c.mu.Unlock()
-		if closed {
-			return nil, fmt.Errorf("wire: subscription client closed")
-		}
-		scanner, err := c.connect(from)
-		if err == nil {
-			c.mu.Lock()
-			c.resumes++
-			c.mu.Unlock()
-			return scanner, nil
-		}
-		select {
-		case <-c.done:
-			return nil, fmt.Errorf("wire: subscription client closed")
-		case <-time.After(delay):
-		}
-		if delay *= 2; delay > c.opts.RetryMax {
-			delay = c.opts.RetryMax
-		}
+	var conn *frameConn
+	if !redial(c.opts.RetryBase, c.opts.RetryMax, c.done, func() (err error) {
+		conn, err = c.connect(c.Delivered())
+		return err
+	}) {
+		return nil, errClosed
 	}
-}
-
-// dropConn closes the current connection (the read loop's way of
-// abandoning a stream whose framing it no longer trusts).
-func (c *SubClient) dropConn() {
 	c.mu.Lock()
-	conn := c.conn
-	c.conn = nil
+	c.resumes++
 	c.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
+	return conn, nil
 }
 
 // fail records the terminal error and closes the frame channel. Called
 // only by the read loop, exactly once, as it exits.
 func (c *SubClient) fail(err error) {
 	c.mu.Lock()
-	if c.termErr == nil {
-		c.termErr = err
-	}
+	c.termErr = err
 	c.mu.Unlock()
 	close(c.frames)
 }
@@ -292,7 +194,9 @@ func (c *SubClient) Next() (core.SubFrame, error) {
 	select {
 	case f, ok := <-c.frames:
 		if !ok {
-			return core.SubFrame{}, c.terminalErr()
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return core.SubFrame{}, c.termErr
 		}
 		return f, nil
 	case <-c.done:
@@ -304,17 +208,8 @@ func (c *SubClient) Next() (core.SubFrame, error) {
 			}
 		default:
 		}
-		return core.SubFrame{}, fmt.Errorf("wire: subscription client closed")
+		return core.SubFrame{}, errClosed
 	}
-}
-
-func (c *SubClient) terminalErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.termErr != nil {
-		return c.termErr
-	}
-	return fmt.Errorf("wire: subscription stream ended")
 }
 
 // Delivered returns the resume cursor: the highest version the read loop
@@ -332,22 +227,4 @@ func (c *SubClient) Resumes() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.resumes
-}
-
-// Close tears the stream down; a blocked Next returns with an error, and
-// the read loop exits. Safe to call from any goroutine, more than once.
-func (c *SubClient) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	conn := c.conn
-	c.mu.Unlock()
-	close(c.done)
-	if conn != nil {
-		return conn.Close()
-	}
-	return nil
 }

@@ -211,7 +211,7 @@ func TestFanoutSurvivesStalledReader(t *testing.T) {
 	}
 	srv := NewSourceServer(db)
 	srv.Logf = t.Logf
-	srv.OutboxCap = 4 // set before Start so every connection gets it
+	srv.outboxCap = 4 // set before Start so every connection gets it
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

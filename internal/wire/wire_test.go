@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/json"
 	"net"
 	"strings"
@@ -530,42 +529,6 @@ func TestClientCatalog(t *testing.T) {
 	}
 	if got := schemas[0].KeyAttrs(); len(got) != 1 || got[0] != "a" {
 		t.Errorf("keys must survive the catalog: %v", got)
-	}
-}
-
-func TestServerRejectsGarbage(t *testing.T) {
-	_, _, addr, _ := startServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r := bufio.NewScanner(conn)
-	if !r.Scan() { // hello
-		t.Fatal("no hello")
-	}
-	if _, err := conn.Write([]byte("this is not json\n")); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Scan() {
-		t.Fatal("no error reply")
-	}
-	if !strings.Contains(r.Text(), "error") {
-		t.Fatalf("expected error reply, got %q", r.Text())
-	}
-	// The connection survives: a valid request still works.
-	if _, err := conn.Write([]byte(`{"type":"query","id":1,"specs":[{"rel":"R"}]}` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Scan() || !strings.Contains(r.Text(), "answer") {
-		t.Fatalf("valid request after garbage failed: %q", r.Text())
-	}
-	// Unknown message types get error replies too.
-	if _, err := conn.Write([]byte(`{"type":"zzz","id":2}` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Scan() || !strings.Contains(r.Text(), "unknown message type") {
-		t.Fatalf("unknown type reply: %q", r.Text())
 	}
 }
 
